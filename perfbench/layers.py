@@ -116,7 +116,7 @@ class Recorder:
         stack = getattr(self.local, "stack", None)
         if stack is None:
             stack = self.local.stack = []
-        frame = [0.0]  # time covered by child spans
+        frame = [0.0, name]  # time covered by child spans, span name
         stack.append(frame)
         start = time.perf_counter()
         try:
@@ -133,6 +133,15 @@ class Recorder:
         if on_done is not None:
             on_done(result, args, kwargs, duration)
         return result
+
+    def enclosing(self) -> Optional[str]:
+        """Name of the innermost open span on this thread.
+
+        Called from an ``on_done`` hook, it names the span that encloses
+        the one that just ended.
+        """
+        stack = getattr(self.local, "stack", None)
+        return stack[-1][1] if stack else None
 
     def snapshot(self) -> dict:
         with self.lock:
@@ -219,9 +228,14 @@ def _megabatch_plan_done(result, args, kwargs, duration) -> None:
 
 
 def _megabatch_run_done(result, args, kwargs, duration) -> None:
-    # Passes that run to the circuit's end carry the folded rows; the
-    # shared-prefix pass (``stop`` set) carries only the base rows.
-    if kwargs.get("stop") is None:
+    # Folded rows are the rows of the pass ``megabatch_parameter_shift``
+    # runs to the circuit's end.  Its shared-prefix pass (``stop`` set)
+    # carries only the base rows; the row-chunk calls a large pass makes
+    # of itself are enclosed by that pass, and other engines' forward
+    # passes by other spans, so neither is counted.
+    # (self, plan, params_batch, row_circuits, initial_state, start, stop)
+    stop = args[6] if len(args) > 6 else kwargs.get("stop")
+    if stop is None and REC.enclosing() == "gradients.megabatch_shift":
         REC.count("gradients.folded_rows", _rows(result))
 
 
@@ -321,19 +335,23 @@ def _resolve(module_name: str, path: str):
     return owner, parts[-1]
 
 
-def _rebind(original: Callable, wrapper: Callable) -> None:
+def _rebind(wrappers: Dict[int, Callable]) -> None:
     """Point every ``repro`` module attribute, or module-level registry
-    entry, that holds ``original`` at ``wrapper``."""
+    entry, that holds a wrapped original at its wrapper.
+
+    ``wrappers`` maps ``id(original)`` to the wrapper; one pass over the
+    modules rebinds them all.
+    """
     for name, module in list(sys.modules.items()):
         if not (name == "repro" or name.startswith("repro.")) or module is None:
             continue
         for attr, value in list(vars(module).items()):
-            if value is original:
-                setattr(module, attr, wrapper)
+            if id(value) in wrappers:
+                setattr(module, attr, wrappers[id(value)])
             elif isinstance(value, dict):
                 for key, entry in list(value.items()):
-                    if entry is original:
-                        value[key] = wrapper
+                    if id(entry) in wrappers:
+                        value[key] = wrappers[id(entry)]
 
 
 def install(dump_dir: Optional[Path]) -> None:
@@ -343,11 +361,17 @@ def install(dump_dir: Optional[Path]) -> None:
     REC.dump_dir = dump_dir
     REC.origin_pid = os.getpid()
     os.register_at_fork(after_in_child=REC.reset)
+    # Only the wrapped modules: a module imported later (the service
+    # stack under ``serve``/``worker``) binds the wrappers when it does.
     for module_name in {m for m, _ in SPANS.values()} | {
         m for m, _ in UNIT_FUNCTIONS
-    } | {"repro.optim", "repro.service.dispatch", "repro.cli"}:
+    } | {"repro.optim"}:
         importlib.import_module(module_name)
 
+    # Module-level functions to rebind wherever else they are held; the
+    # originals stay referenced here, so their ids stay unique.
+    rebind: Dict[int, Callable] = {}
+    originals: List[Callable] = []
     for name, target in SPANS.items():
         owner, attr = _resolve(*target)
         original = getattr(owner, attr)
@@ -357,14 +381,17 @@ def install(dump_dir: Optional[Path]) -> None:
             wrapper = _span_wrapper(name, original)
         setattr(owner, attr, wrapper)
         if not isinstance(owner, type):
-            _rebind(original, wrapper)
+            rebind[id(original)] = wrapper
+            originals.append(original)
 
     for module_name, attr in UNIT_FUNCTIONS:
         owner, attr = _resolve(module_name, attr)
         original = getattr(owner, attr)
         wrapper = _unit_wrapper(original)
         setattr(owner, attr, wrapper)
-        _rebind(original, wrapper)
+        rebind[id(original)] = wrapper
+        originals.append(original)
+    _rebind(rebind)
 
     from repro.optim.base import Optimizer
 

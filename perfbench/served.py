@@ -17,6 +17,15 @@ generator mixes three request kinds in shuffled blocks of one each:
 ``resubmit``
     The exact body of an earlier job: a whole-result cache hit.
 
+The equal split is a choice, not a measurement: the repository records
+no served traffic.  Its only served usage, the service step of
+``examples/spec_driven_experiments.py`` and the CI service lane, submits
+a spec and then resubmits it (one cold, one resubmit); shard reuse has
+no usage to copy.  Equal numbers give each of the three store paths
+(writes, shard reads, whole-result reads) the same sample count.  The
+mix-wide end-to-end figures (jobs/s, CPU per job) move with the split,
+so :func:`kind_metrics` also reports jobs/s and CPU per job of each kind.
+
 Specs use ``"executor": "remote"``, so the coordinator dispatches units
 to the workers over the lease protocol.  Every result is later compared
 byte for byte with ``repro run SPEC --executor serial``.
@@ -42,6 +51,8 @@ WIDTHS = [2, 4, 6, 8]
 LAYERS = 12
 CIRCUITS = 2
 METHODS = ["random", "xavier_normal", "he_uniform", "orthogonal"]
+#: Request kinds, issued in equal numbers (see the module docstring).
+KINDS = ("cold", "reuse", "resubmit")
 #: SIGTERM grace for the coordinator and workers before SIGKILL.
 SHUTDOWN_GRACE_S = 1.0
 READY_TIMEOUT_S = 60.0
@@ -74,7 +85,7 @@ class Mix:
 
     def _next_kind(self) -> str:
         if not self.block:
-            self.block = ["cold", "reuse", "resubmit"]
+            self.block = list(KINDS)
             self.rng.shuffle(self.block)
             if not self.submitted:  # reuse/resubmit need an earlier job
                 self.block.remove("cold")
@@ -117,6 +128,8 @@ class Job:
     unit_gaps: List[float] = field(default_factory=list)
     cached_units: int = 0
     total_units: int = 0
+    #: CPU seconds of the server and workers while this job ran.
+    cpu_s: float = 0.0
 
 
 class Client:
@@ -301,13 +314,18 @@ def drive(stack: Stack, seed: int, budget_s: float) -> Window:
     mix = Mix(seed)
     client = Client(stack.url)
     health_before = client.get_json("/healthz")
-    cpu0 = [proc_cpu_s(pid) for pid in stack.pids()]
+    pids = stack.pids()
+    cpu0 = [proc_cpu_s(pid) for pid in pids]
     jobs: List[Job] = []
     start = time.perf_counter()
+    before = sum(cpu0)
     while time.perf_counter() - start < budget_s:
-        jobs.append(client.run_job(*mix.next()))
+        job = client.run_job(*mix.next())
+        after = sum(proc_cpu_s(pid) for pid in pids)
+        job.cpu_s, before = after - before, after
+        jobs.append(job)
     seconds = time.perf_counter() - start
-    cpu1 = [proc_cpu_s(pid) for pid in stack.pids()]
+    cpu1 = [proc_cpu_s(pid) for pid in pids]
     health_after = client.get_json("/healthz")
     return Window(
         jobs,
@@ -319,10 +337,29 @@ def drive(stack: Stack, seed: int, budget_s: float) -> Window:
     )
 
 
+def kind_metrics(window: Window) -> Dict[str, float]:
+    """Jobs per second and CPU seconds per job of each request kind.
+
+    Jobs/s of a kind is its completed jobs over the time spent on them,
+    so none of these figures depends on the mix's proportions.
+    (``/proc`` counts CPU in 10 ms ticks; the per-kind sums over a
+    window average that out.)
+    """
+    out = {}
+    for kind in KINDS:
+        jobs = [j for j in window.jobs if j.kind == kind and j.state == "done"]
+        busy = sum(j.latency_s for j in jobs)
+        out[f"served.{kind}_jobs_per_s"] = len(jobs) / busy if busy else 0.0
+        out[f"served.{kind}_cpu_s"] = (
+            sum(j.cpu_s for j in jobs) / len(jobs) if jobs else 0.0
+        )
+    return out
+
+
 def client_metrics(window: Window) -> Dict[str, float]:
     """Client-observed service metrics of one window (per-layer names)."""
     jobs = [j for j in window.jobs if j.state == "done"]
-    by_kind = {k: [j for j in jobs if j.kind == k] for k in ("cold", "reuse", "resubmit")}
+    by_kind = {k: [j for j in jobs if j.kind == k] for k in KINDS}
     reuse = by_kind["reuse"]
 
     def med(values: List[float]) -> float:
@@ -337,6 +374,7 @@ def client_metrics(window: Window) -> Dict[str, float]:
     accepted = delta("results_accepted")
     waited = [j for j in jobs if j.kind != "resubmit"]
     return {
+        **kind_metrics(window),
         "server.submit_s": med([j.submit_s for j in jobs]),
         "server.result_get_s": med([j.result_get_s for j in jobs]),
         "server.status_polls": (

@@ -11,7 +11,10 @@ check that a wrong reference is caught.
 
 from __future__ import annotations
 
+import json
+import os
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -97,7 +100,6 @@ def test_processes_reap_with_usage_and_bound_waits(tmp_path):
 @pytest.fixture
 def tiny(monkeypatch):
     monkeypatch.setattr(workloads, "MIN_OPS", 1)
-    monkeypatch.setattr(workloads, "SETUP_REPS_CLI", 1)
     monkeypatch.setattr(workloads, "SETUP_REPS_SERVED", 1)
     monkeypatch.setattr(workloads, "GRID_CIRCUITS", 1)
     monkeypatch.setattr(workloads, "TRAIN_RESTARTS", 1)
@@ -125,7 +127,8 @@ def test_cli_workload_smoke(tmp_path, tiny, name):
     run = _run(tmp_path)
     values = workloads.run_cli_workload(run, workloads.CLI_WORKLOADS[name])
     _end_to_end_ok(run, values)
-    assert run.tally.attempted >= 3  # reference, set-up probe, one operation
+    # Reference, one operation, a set-up probe before it and one after it.
+    assert run.tally.attempted >= 4
 
 
 def test_cli_gate_catches_a_wrong_reference(tmp_path, tiny):
@@ -149,21 +152,71 @@ def test_traced_lockstep_matches_and_never_gathers_rows(tmp_path, tiny):
     assert values["optim.steps"] > 0
 
 
-def test_traced_paper_grid_records_the_grid_layers(tmp_path, tiny):
+def test_traced_paper_grid_records_the_grid_layers(tmp_path, tiny, monkeypatch):
+    # Enough circuits that computing, not the fixed import and argument
+    # parsing, fills the run, as in the real grid: the self-time gate's
+    # limit is a share of the run's wall time.
+    monkeypatch.setattr(workloads, "GRID_CIRCUITS", 8)
     run = _run(tmp_path, trace=True)
     values = workloads.run_cli_workload(run, workloads.CLI_WORKLOADS["paper_grid"])
-    assert run.tally.failed == 0, run.tally.reasons
+    assert run.tally.failed == 0, run.tally.reasons  # includes the self-time gate
     for name in (
         "array_api.take_rows_calls",
         "initializers.draws",
         "simulator.plans",
-        "gradients.folded_rows",
         "io.bytes_written",
     ):
         assert values[name] > 0, name
-    # The per-run accounting gate passed (no failures above); against the
-    # untraced runs the same sums land near 1.
-    assert 0.5 < values["trace.self_time_coverage"] < 2.0
+    # Two shift terms per probed gradient: 5 widths x 8 circuits x 6 methods.
+    assert values["gradients.folded_rows"] == 2 * 5 * 8 * workloads.PAPER_METHOD_COUNT
+    assert 0 < values["trace.unattributed_share"] <= workloads.UNATTRIBUTED_SHARE_MAX
+
+
+def test_self_time_gate_fails_a_run_that_leaves_time_to_no_layer(
+    tmp_path, tiny, monkeypatch
+):
+    # Argument parsing alone is time no layer holds: with no allowance the
+    # gate must fail every traced run.
+    monkeypatch.setattr(workloads, "UNATTRIBUTED_SHARE_MAX", 0.0)
+    run = _run(tmp_path, trace=True)
+    workloads.run_cli_workload(run, workloads.CLI_WORKLOADS["paper_grid"])
+    assert run.tally.failed >= 1
+    assert all("to no layer" in reason for reason in run.tally.reasons)
+
+
+_FOLDED_ROWS_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import layers
+layers.install(None)
+if sys.argv[3] == "chunked":
+    import repro.backend.simulator as simulator
+    simulator.batch_chunk_rows = lambda num_qubits, backend: 4
+import repro.cli
+repro.cli.main(["variance", "--qubits", "2", "3", "--layers", "3", "--circuits", "3",
+                "--seed", "1", "--output", sys.argv[2]])
+print(json.dumps(layers.REC.snapshot()))
+"""
+
+
+def test_folded_rows_count_each_row_once_however_the_pass_is_chunked(tmp_path):
+    def trace(mode):
+        out = subprocess.run(
+            [sys.executable, "-c", _FOLDED_ROWS_SCRIPT, str(BENCH),
+             str(tmp_path / f"{mode}.json"), mode],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, check=True,
+        )
+        return json.loads(out.stdout.splitlines()[-1])
+
+    plain, chunked = trace("plain"), trace("chunked")
+    assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "chunked.json").read_bytes()
+    # The chunked passes really did call themselves once per chunk ...
+    assert chunked["calls"]["simulator.megabatch_run"] > plain["calls"]["simulator.megabatch_run"]
+    # ... and the folded rows are still 2 widths x 3 circuits x 6 methods x 2 terms.
+    expected = 2 * 3 * workloads.PAPER_METHOD_COUNT * 2
+    assert plain["counters"]["gradients.folded_rows"] == expected
+    assert chunked["counters"]["gradients.folded_rows"] == expected
 
 
 def test_served_smoke(tmp_path, tiny):

@@ -29,13 +29,15 @@ from harness import Processes, Tally, summarize
 PYTHON = sys.executable
 #: Fewest timed operations per phase, whatever the time budget.
 MIN_OPS = 3
-SETUP_REPS_CLI = 5
 SETUP_REPS_SERVED = 3
 REFERENCE_PROCESSES = 2
 OP_TIMEOUT_S = 120.0
-#: Most of a traced run's wall time its self times may leave unaccounted:
-#: interpreter start-up and exit, outside any span (about 0.1 s here).
-UNTRACED_ALLOWANCE_S = 0.3
+#: Largest share of the untraced ``wall_s`` a traced ``paper_grid`` run
+#: may leave to no layer: the self time of the catch-all ``cli.main``
+#: span (argument parsing and whatever no layer wraps) plus
+#: ``trace.install`` (wrapping itself).  About 0.01 on a 2-vCPU Xeon VM;
+#: dropping the executor layer's spans pushes it past the limit.
+UNATTRIBUTED_SHARE_MAX = 0.03
 
 # Run length knobs: the problem shapes are fixed by the workload
 # definitions below; these only set how much work one operation does.
@@ -93,6 +95,9 @@ class CliWorkload:
     reference: Callable[[int], List[str]]
     #: Work one operation completes (gradients or trajectory steps).
     work: int
+    #: Whether traced runs gate on the layers' self times adding up to the
+    #: untraced wall time (``trace.unattributed_share`` is reported either way).
+    self_time_gate: bool = False
 
 
 def _grid_args(seed: int) -> List[str]:
@@ -120,6 +125,7 @@ CLI_WORKLOADS = {
         # of the same engine, bit-identical by contract.
         lambda seed: _grid_args(seed) + ["--fold", "structure"],
         GRID_GRADIENTS,
+        self_time_gate=True,
     ),
     "pool_grid": CliWorkload(
         "pool_grid",
@@ -144,6 +150,7 @@ class Op:
     maxrss_mb: float
     trace: Optional[dict] = None  # merged layer totals of a traced op
     main: Optional[dict] = None  # the CLI process's own totals
+    setup_s: Optional[float] = None  # the set-up probe run after this op
 
 
 def _run_cli(run: Run, argv: List[str], out: Path, label: str) -> tuple:
@@ -176,12 +183,24 @@ def _reference(run: Run, wl: CliWorkload) -> Optional[str]:
 
 
 def _timed_ops(
-    run: Run, wl: CliWorkload, ref: Optional[str], budget_s: float, traced: bool
+    run: Run,
+    wl: CliWorkload,
+    ref: Optional[str],
+    budget_s: float,
+    traced: bool,
+    probe_setup: bool = False,
 ) -> List[Op]:
+    """Timed operations for ``budget_s`` seconds (at least ``MIN_OPS``).
+
+    With ``probe_setup`` a set-up probe follows every operation, so slow
+    drift over the window reaches ``setup_s`` as it reaches ``wall_s``;
+    probe time does not count against the budget.
+    """
     ops: List[Op] = []
     start = time.perf_counter()
+    probing = 0.0
     while len(ops) < MIN_OPS or (
-        time.perf_counter() - start + statistics.median(o.wall_s for o in ops)
+        time.perf_counter() - start - probing + statistics.median(o.wall_s for o in ops)
         <= budget_s
     ):
         i = len(ops)
@@ -201,29 +220,32 @@ def _timed_ops(
             snapshots = layers.load_dir(trace_dir)
             op.trace = layers.merge(snapshots)
             op.main = next((s for s in snapshots if "cli.import" in s["calls"]), None)
+        if probe_setup:
+            probe_start = time.perf_counter()
+            op.setup_s = _cli_setup(run)
+            probing += time.perf_counter() - probe_start
         ops.append(op)
     return ops
 
 
-def _cli_setup(run: Run) -> List[float]:
-    """Launch -> ``import repro.cli`` done, several times."""
-    walls = []
-    for _ in range(SETUP_REPS_CLI):
-        start = time.perf_counter()
-        exited = run.procs.run(
-            [PYTHON, "-c", "import repro.cli"], OP_TIMEOUT_S, env=run.env
-        )
-        walls.append(time.perf_counter() - start)
-        run.tally.record(exited.returncode == 0, "import repro.cli failed")
-    return walls
+def _cli_setup(run: Run) -> float:
+    """Launch -> ``import repro.cli`` done, once."""
+    start = time.perf_counter()
+    exited = run.procs.run([PYTHON, "-c", "import repro.cli"], OP_TIMEOUT_S, env=run.env)
+    wall = time.perf_counter() - start
+    run.tally.record(exited.returncode == 0, "import repro.cli failed")
+    return wall
 
 
 def run_cli_workload(run: Run, wl: CliWorkload) -> Dict[str, float]:
     ref = _reference(run, wl)
     if not run.trace:
-        setup = statistics.median(_cli_setup(run))
-        ops = _timed_ops(run, wl, ref, run.seconds, traced=False)
+        first_setup = _cli_setup(run)
+        ops = _timed_ops(run, wl, ref, run.seconds, traced=False, probe_setup=True)
+        setups = [first_setup] + [o.setup_s for o in ops]
+        setup = statistics.median(setups)
         wall = statistics.median(o.wall_s for o in ops)
+        run.notes.append(f"setup_s samples: {summarize(setups).describe('s')}")
         run.notes.append(f"wall_s samples: {summarize([o.wall_s for o in ops]).describe('s')}")
         run.notes.append(f"cpu_s samples: {summarize([o.cpu_s for o in ops]).describe('s')}")
         return {
@@ -239,28 +261,30 @@ def run_cli_workload(run: Run, wl: CliWorkload) -> Dict[str, float]:
     overhead = statistics.median(o.wall_s for o in traced) / untraced_wall
     # The CLI process's own totals (pool workers are forked without them);
     # missing only when a traced operation failed, which is counted above.
-    mained = [o for o in traced if o.main is not None]
-    self_sums = [sum(o.main["self"].values()) for o in mained]
-    # Gate on each traced run against its own wall time: comparing with the
-    # untraced runs would gate on machine noise between different runs.
-    for o, self_sum in zip(mained, self_sums):
+    mained = [o.main for o in traced if o.main is not None]
+    # The layers' self times on the blocking path must add up to the
+    # untraced wall time: what the catch-all spans hold is the gap.
+    shares = [
+        (m["self"].get("cli.main", 0.0) + m["self"].get("trace.install", 0.0))
+        / untraced_wall
+        for m in mained
+    ]
+    for share in shares if wl.self_time_gate else []:
         run.tally.record(
-            0.0 <= o.wall_s - self_sum <= UNTRACED_ALLOWANCE_S,
-            f"traced self times leave {o.wall_s - self_sum:.3f} s of the "
-            f"traced run's {o.wall_s:.3f} s unaccounted",
+            share <= UNATTRIBUTED_SHARE_MAX,
+            f"{wl.name}: a traced run left {share:.3f} of the untraced wall_s "
+            f"to no layer (limit {UNATTRIBUTED_SHARE_MAX})",
         )
     metrics = {
         name: statistics.median(values)
         for name, values in _per_op_layers([o.trace for o in traced]).items()
     }
     metrics["cli.import_s"] = statistics.median(
-        [o.main["self"].get("cli.import", 0.0) for o in mained] or [0.0]
+        [m["self"].get("cli.import", 0.0) for m in mained] or [0.0]
     )
     metrics.update(SERVED_ONLY_ZEROS)
     metrics["trace.overhead_ratio"] = overhead
-    metrics["trace.self_time_coverage"] = (
-        statistics.median(self_sums) / untraced_wall if self_sums else 0.0
-    )
+    metrics["trace.unattributed_share"] = statistics.median(shares) if shares else 0.0
     return metrics
 
 
@@ -346,6 +370,7 @@ def _per_op_layers(merged_ops: List[dict]) -> Dict[str, List[float]]:
 SERVED_ONLY_ZEROS = {
     name: 0.0
     for name in [
+        *(f"served.{kind}_{m}" for kind in served.KINDS for m in ("jobs_per_s", "cpu_s")),
         "server.submit_s", "server.result_get_s", "server.status_polls",
         "server.coordinator_cpu_s", "server.sigterm_exit_ok", "jobs.queue_wait_s",
         "store.hit_s", "store.cached_units", "store.completed_units",
@@ -430,6 +455,9 @@ def run_served(run: Run) -> Dict[str, float]:
         cold = summarize(_cold_latencies(window))
         run.notes.append(f"cold jobs: {cold.describe('s')}")
         run.notes.append(f"jobs: {len(window.jobs)} in {window.seconds:.3f} s")
+        for name, value in served.kind_metrics(window).items():
+            unit = "1/s" if name.endswith("_per_s") else "s"
+            run.notes.append(f"{name}: {value:.6g} {unit}")
         return {
             "setup_s": statistics.median(setups),
             "wall_s": cold.median,
@@ -468,5 +496,5 @@ def run_served(run: Run) -> Dict[str, float]:
     )
     # Self-time accounting is checked on the CLI workloads' blocking path;
     # a served job's time is spread over three processes and the client.
-    metrics["trace.self_time_coverage"] = 0.0
+    metrics["trace.unattributed_share"] = 0.0
     return metrics
