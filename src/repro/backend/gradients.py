@@ -880,10 +880,11 @@ def megabatch_adjoint_gradient(
     The mega-batched form of :func:`batch_adjoint_gradient`: one
     :meth:`StatevectorSimulator.run_megabatch` forward pass over every
     circuit's rows, then a single backward sweep.  At each trainable slot
-    the rows partition by their circuit's drawn gate, and each partition
-    applies that gate's per-row adjoint / derivative stacks through the
-    broadcasting kernels; fixed operations use the plan template's cached
-    static adjoints on the whole stack.  Rows evolve independently, so
+    one per-row adjoint stack and one per-row derivative stack
+    (:meth:`MegaBatchPlan.slot_matrices`: each row holds its own
+    circuit's drawn gate) apply to the whole ``psi``/``lam`` stacks, with
+    no row gather or scatter; fixed operations use the plan template's
+    cached static adjoints on the whole stack.  Rows evolve independently, so
     entry ``s`` is bit-identical to ``batch_adjoint_gradient(circuits[s],
     observable, params_batches[s], ...)``.
 
@@ -914,7 +915,7 @@ def megabatch_adjoint_gradient(
     )
     # Forward pass: one mega-batched execution for all circuits' rows,
     # left resident on the simulator's array backend; the backward sweep
-    # (segment gathers/scatters included) runs on-namespace end to end.
+    # runs on-namespace end to end.
     psi = simulator._run_megabatch_data(plan, batch, rows, initial_state)
     lam = observable.apply_batch(psi)
     if device and type(lam) is np.ndarray:
@@ -931,51 +932,24 @@ def megabatch_adjoint_gradient(
             psi = apply_matrix(psi, adjoint, op.qubits, num_qubits, backend=b)
             lam = apply_matrix(lam, adjoint, op.qubits, num_qubits, backend=b)
             continue
-        gates, codes = plan.slot_gates[pos]
         thetas = batch[:, op.param_index]
         wanted_slot = slot_of.get(op.param_index)
-        row_codes = codes[rows] if len(gates) > 1 else None
-        psi_new = psi if len(gates) == 1 else b.empty_like(psi)
-        lam_new = lam if len(gates) == 1 else b.empty_like(lam)
-        for code, gate in enumerate(gates):
-            if len(gates) == 1:
-                idx = None
-                seg_thetas, seg_psi, seg_lam = thetas, psi, lam
-            else:
-                idx = np.flatnonzero(row_codes == code)
-                if idx.size == 0:
-                    continue
-                seg_thetas = thetas[idx]
-                seg_psi = b.take_rows(psi, idx)
-                seg_lam = b.take_rows(lam, idx)
-            adjoint = gate.matrix_batch(seg_thetas).conj().transpose(0, 2, 1)
-            # Undo this gate on the segment: |psi_k> (states before it).
-            seg_psi = apply_matrix(seg_psi, adjoint, op.qubits, num_qubits, backend=b)
-            if wanted_slot is not None:
-                d_matrices = gate.derivative_batch(seg_thetas)
-                d_psi = apply_matrix(
-                    seg_psi, d_matrices, op.qubits, num_qubits, backend=b
+        adjoint = plan.slot_matrices(pos, rows, thetas).conj().transpose(0, 2, 1)
+        # Undo this slot's gates: |psi_k> (states before it).
+        psi = apply_matrix(psi, adjoint, op.qubits, num_qubits, backend=b)
+        if wanted_slot is not None:
+            d_matrices = plan.slot_matrices(pos, rows, thetas, derivative=True)
+            d_psi = apply_matrix(psi, d_matrices, op.qubits, num_qubits, backend=b)
+            if device:
+                grads[:, wanted_slot] = 2.0 * np.real(
+                    b.to_numpy(b.sum(b.conj(lam) * d_psi, axis=1))
                 )
-                if device:
-                    seg_grads = 2.0 * np.real(
-                        b.to_numpy(b.sum(b.conj(seg_lam) * d_psi, axis=1))
-                    )
-                else:
-                    seg_grads = [
-                        2.0 * float(np.real(np.vdot(l, d)))
-                        for l, d in zip(seg_lam, d_psi)
-                    ]
-            seg_lam = apply_matrix(seg_lam, adjoint, op.qubits, num_qubits, backend=b)
-            if idx is None:
-                psi_new, lam_new = seg_psi, seg_lam
-                if wanted_slot is not None:
-                    grads[:, wanted_slot] = seg_grads
             else:
-                b.put_rows(psi_new, idx, seg_psi)
-                b.put_rows(lam_new, idx, seg_lam)
-                if wanted_slot is not None:
-                    grads[idx, wanted_slot] = seg_grads
-        psi, lam = psi_new, lam_new
+                grads[:, wanted_slot] = [
+                    2.0 * float(np.real(np.vdot(l, d)))
+                    for l, d in zip(lam, d_psi)
+                ]
+        lam = apply_matrix(lam, adjoint, op.qubits, num_qubits, backend=b)
 
     outputs: "list[np.ndarray]" = []
     start = 0

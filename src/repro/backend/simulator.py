@@ -43,8 +43,9 @@ gate-sequence shape (same wires, same parameter slots, same fixed layers —
 see :func:`repro.ansatz.random_pqc.circuit_shape_key`) evolve together in
 one ``(B, 2**n)`` stack.  A :class:`MegaBatchPlan` validates the bucket
 once and stores, per trainable slot, the per-circuit gate table; at
-execution time each slot applies one gate-matrix stack per distinct gate
-to that gate's rows.  Because every kernel in this module is per-row
+execution time each slot applies a per-row dense stack and a per-row
+diagonal stack to the whole amplitude stack, exact identity entries
+filling each row's unused pass.  Because every kernel in this module is per-row
 independent, row ``b`` remains bit-identical to running its own circuit
 through ``run_batch`` (and therefore through the sequential ``run``) —
 mega-batching, like batching, is a pure throughput change.  This is what
@@ -232,8 +233,8 @@ class MegaBatchPlan:
         # object.
         self.slot_gates: Dict[int, Tuple[List[ParametricGate], np.ndarray]] = {}
         #: Per trainable position: boolean per-code table marking diagonal
-        #: gates, so slot execution classifies rows with one fancy index
-        #: instead of set membership tests.
+        #: gates.  One fancy index through it tells slot execution which
+        #: rows take the full-stack diagonal pass and which the dense one.
         self.slot_diagonal: Dict[int, np.ndarray] = {}
         for pos, op in enumerate(template.operations):
             if not op.is_trainable:
@@ -257,6 +258,33 @@ class MegaBatchPlan:
     @property
     def num_circuits(self) -> int:
         return len(self.circuits)
+
+    def slot_matrices(
+        self,
+        pos: int,
+        rows: np.ndarray,
+        thetas: np.ndarray,
+        derivative: bool = False,
+    ) -> np.ndarray:
+        """Per-row ``(B, 2**k, 2**k)`` host stack for trainable slot ``pos``.
+
+        Row ``b`` holds the matrix (``derivative``: its angle derivative)
+        of the gate circuit ``rows[b]`` drew here, at ``thetas[b]``, built
+        by one ``matrix_batch``/``derivative_batch`` call per distinct
+        gate.  Freshly allocated: callers may modify it.
+        """
+        gates, codes = self.slot_gates[pos]
+        build = "derivative_batch" if derivative else "matrix_batch"
+        if len(gates) == 1:
+            return getattr(gates[0], build)(thetas)
+        row_codes = codes[rows]
+        dim = gates[0].dim
+        stack = np.empty((len(thetas), dim, dim), dtype=COMPLEX_DTYPE)
+        for code, gate in enumerate(gates):
+            sel = np.flatnonzero(row_codes == code)
+            if sel.size:
+                stack[sel] = getattr(gate, build)(thetas[sel])
+        return stack
 
     def _compile_steps(self) -> "List[tuple]":
         """Compile the template into ``(kind, lo, hi, payload)`` steps.
@@ -518,11 +546,13 @@ class StatevectorSimulator:
         every circuit in a :class:`MegaBatchPlan`'s shape bucket.  Fixed
         operations apply one shared matrix to all rows (fused entangler
         runs apply their precomputed diagonal in one elementwise pass);
-        at each trainable slot the rows split into at most two groups —
-        dense gates, sharing one per-row matrix stack, and diagonal
-        gates, sharing one per-row diagonal stack — so the drawn gate,
-        like the angle, is row data.  Rows evolve independently through
-        exactly the kernels :meth:`run_batch` dispatches per gate, so row
+        each trainable slot runs at most two passes over the whole stack
+        — a dense pass with a per-row matrix stack (identity on
+        diagonal-gate rows) and a diagonal pass with a per-row diagonal
+        stack (exact ones on dense-gate rows) — so the drawn gate, like
+        the angle, is row data and no rows are gathered or scattered.
+        Rows evolve independently, and the pass a row's gate does not
+        use leaves it exactly unchanged, so row
         ``b`` equals ``self.run_batch(plan.circuits[row_circuits[b]],
         params_batch[b:b+1])[0]`` bit for bit (up to the sign of
         exactly-zero amplitudes under fused diagonals — see
@@ -708,17 +738,23 @@ class StatevectorSimulator:
     ) -> np.ndarray:
         """Apply one trainable slot with per-row gates to the stack.
 
-        Rows whose drawn gate is dense share a single stacked
-        :func:`apply_matrix` call (their per-gate matrix stacks are
-        assembled into one ``(B_dense, 2**k, 2**k)`` array — the kernels
-        are per-row independent, so mixing gates in one call carries the
-        same bits as per-gate calls); diagonal rows share one
-        :func:`apply_diagonal` call, keeping the sequential dispatcher's
-        kernel choice per row.  Row classification and operand assembly
-        are host-side (they index tiny per-row metadata); each group's
-        assembled operand stack is staged to the backend by the kernel in
-        one copy, and the gather/scatter of the state rows themselves
-        runs on-namespace.
+        A slot whose plan holds one gate is a plain
+        :func:`apply_parametric_stack` call.  Otherwise the slot runs as
+        at most two passes over the *whole* stack, with no row gather or
+        scatter: one :func:`apply_matrix` whose per-row operand holds each
+        dense-gate row's matrix and the identity on diagonal-gate rows,
+        then one :func:`apply_diagonal` whose per-row diagonal holds each
+        diagonal-gate row's entries and exact ones on dense-gate rows.  A
+        pass that no row of this stack needs is skipped.
+
+        The passes are exact on the rows they leave alone: ``1*x + 0*y``
+        is exactly ``x`` under IEEE arithmetic in any summation order,
+        with or without FMA, and so is ``x*(1+0j)``.  Every row therefore
+        carries the values its own gate's kernel gives it; only the sign
+        of an exactly-zero amplitude may differ (as under fused
+        diagonals, see :class:`MegaBatchPlan`), which ``np.array_equal``
+        ignores.  Operand stacks are assembled host-side and staged to
+        the backend by the kernel in one copy per pass.
         """
         gates, codes = plan.slot_gates[pos]
         thetas = batch_array[:, op.param_index]
@@ -726,57 +762,21 @@ class StatevectorSimulator:
             return apply_parametric_stack(
                 data, gates[0], thetas, op.qubits, num_qubits, backend=backend
             )
-        batch = data.shape[0]
-        row_codes = codes[rows]
-        diagonal_of_code = plan.slot_diagonal[pos]
-        row_is_diagonal = diagonal_of_code[row_codes]
-        dim = gates[0].dim
-        out = backend.empty_like(data)
-        for want_diagonal in (False, True):
-            group = [
-                code
-                for code in range(len(gates))
-                if bool(diagonal_of_code[code]) is want_diagonal
-            ]
-            if not group:
-                continue
-            if len(group) == len(gates):
-                idx = None  # whole stack, skip the gather/scatter
-                group_codes = row_codes
-            else:
-                idx = np.flatnonzero(row_is_diagonal == want_diagonal)
-                if idx.size == 0:
-                    continue
-                group_codes = row_codes[idx]
-            group_thetas = thetas if idx is None else thetas[idx]
-            if want_diagonal:
-                operands = np.empty((group_codes.size, dim), dtype=COMPLEX_DTYPE)
-            else:
-                operands = np.empty(
-                    (group_codes.size, dim, dim), dtype=COMPLEX_DTYPE
-                )
-            for code in group:
-                sel = np.flatnonzero(group_codes == code)
-                if sel.size == 0:
-                    continue
-                matrices = gates[code].matrix_batch(group_thetas[sel])
-                if want_diagonal:
-                    operands[sel] = np.diagonal(matrices, axis1=-2, axis2=-1)
-                else:
-                    operands[sel] = matrices
-            group_data = data if idx is None else backend.take_rows(data, idx)
-            if want_diagonal:
-                applied = apply_diagonal(
-                    group_data, operands, op.qubits, num_qubits, backend=backend
-                )
-            else:
-                applied = apply_matrix(
-                    group_data, operands, op.qubits, num_qubits, backend=backend
-                )
-            if idx is None:
-                return applied
-            backend.put_rows(out, idx, applied)
-        return out
+        matrices = plan.slot_matrices(pos, rows, thetas)
+        row_is_diagonal = plan.slot_diagonal[pos][codes[rows]]
+        phases = np.where(
+            row_is_diagonal[:, None], np.diagonal(matrices, axis1=-2, axis2=-1), 1.0
+        )
+        if not row_is_diagonal.all():
+            matrices[row_is_diagonal] = np.eye(gates[0].dim)
+            data = apply_matrix(
+                data, matrices, op.qubits, num_qubits, backend=backend
+            )
+        if row_is_diagonal.any():
+            data = apply_diagonal(
+                data, phases, op.qubits, num_qubits, backend=backend
+            )
+        return data
 
     def expectation(
         self,

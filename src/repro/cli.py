@@ -506,6 +506,11 @@ def _cmd_variance(args: argparse.Namespace) -> int:
         backend=args.backend or "numpy",
         noise=args.noise,
     )
+    try:
+        config.check_decay_widths()
+    except ValueError as error:
+        print(f"repro variance: error: {error}", file=sys.stderr)
+        return 2
     spec = ExperimentSpec(
         kind="variance",
         config=config,

@@ -572,7 +572,8 @@ def _resolve_config(
     reference path, ``batched``/``lockstep``/``device`` force the batched
     kernels).  Pass the actual ``executor`` instance when one exists;
     otherwise the policy of :meth:`ExperimentSpec.resolved_executor`'s
-    registered class is used.
+    registered class is used.  A variance config with fewer than two
+    distinct qubit counts is rejected here, before any shard runs.
     """
     config = (
         spec.config if spec.config is not None else EXPERIMENT_KINDS[spec.kind]()
@@ -588,6 +589,7 @@ def _resolve_config(
     ):
         config = replace(config, backend=backend)
     if spec.kind == "variance":
+        config.check_decay_widths()
         if executor is not None:
             batched = executor.variance_batched
         else:
@@ -1000,6 +1002,8 @@ def _run_sweep(spec: ExperimentSpec, verbose: bool) -> Dict:
     configs = [
         replace(base, **{spec.sweep_field: value}) for value in values
     ]
+    for config in configs:
+        config.check_decay_widths()
     rng = ensure_rng(spec.seed)
     shared = spawn_rng(rng)
     outcomes: Dict = {}

@@ -168,6 +168,19 @@ class VarianceConfig:
             model = NoiseModel.from_dict(dict(self.noise))
             self.noise = None if model.is_trivial else model.to_dict()
 
+    def check_decay_widths(self) -> None:
+        """Raise ``ValueError`` unless ``qubit_counts`` has >= 2 distinct widths.
+
+        The experiment's decay fit needs two; single-width configs stay
+        valid for shard work, so specs check this when resolving a config.
+        """
+        widths = sorted({int(q) for q in self.qubit_counts})
+        if len(widths) < 2:
+            raise ValueError(
+                f"a variance experiment fits decay rates across widths and "
+                f"needs at least 2 distinct qubit counts, got {widths}"
+            )
+
     def build_initializers(self) -> Dict[str, Initializer]:
         """Instantiate the configured initialization methods by name."""
         return {

@@ -101,7 +101,9 @@ class Initializer(abc.ABC):
     Subclasses implement :meth:`sample_layer`; :meth:`sample` stacks one
     draw per layer in the circuit's canonical ordering (layer-major, then
     qubit, then gate within qubit), producing a flat vector compatible with
-    the ansatz builders in :mod:`repro.ansatz`.
+    the ansatz builders in :mod:`repro.ansatz`.  A subclass whose layer
+    draws vectorize overrides :meth:`sample_layers` with one stacked draw
+    that consumes the generator exactly as the per-layer loop does.
     """
 
     #: Registry name; subclasses override.
@@ -127,15 +129,22 @@ class Initializer(abc.ABC):
         seed:
             Seed or generator for reproducible draws.
         """
-        rng = ensure_rng(seed)
-        layers = [self.sample_layer(shape, rng) for _ in range(shape.num_layers)]
-        out = np.concatenate(layers)
+        out = self.sample_layers(shape, ensure_rng(seed))
         if out.shape != (shape.num_parameters,):
             raise RuntimeError(
                 f"{type(self).__name__}.sample_layer returned wrong size: "
                 f"expected {shape.params_per_layer} per layer"
             )
         return out
+
+    def sample_layers(
+        self, shape: ParameterShape, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Draw every layer's angles from ``rng``, concatenated flat in
+        layer order: one :meth:`sample_layer` call per layer."""
+        return np.concatenate(
+            [self.sample_layer(shape, rng) for _ in range(shape.num_layers)]
+        )
 
     def describe(self, shape: ParameterShape) -> str:
         """One-line human-readable description for reports."""

@@ -21,6 +21,9 @@ that keeps the circuit away from the 2-design regime.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Optional
+
 import numpy as np
 
 from repro.initializers.base import Initializer, ParameterShape
@@ -29,20 +32,28 @@ __all__ = ["Orthogonal", "haar_orthogonal_matrix"]
 
 
 def haar_orthogonal_matrix(
-    rows: int, cols: int, rng: np.random.Generator
+    rows: int,
+    cols: int,
+    rng: np.random.Generator,
+    layers: Optional[int] = None,
 ) -> np.ndarray:
     """Sample a ``rows x cols`` semi-orthogonal matrix, Haar-distributed.
 
     If ``rows >= cols`` the columns are orthonormal; otherwise the rows are.
+    With ``layers`` set, returns a ``(layers, rows, cols)`` stack from one
+    Gaussian draw and one stacked QR; it equals ``layers`` successive
+    single draws from ``rng`` bit for bit and leaves ``rng`` in the same
+    state.
     """
     transpose = rows < cols
     shape = (cols, rows) if transpose else (rows, cols)
-    gaussian = rng.normal(size=shape)
+    lead = () if layers is None else (layers,)
+    gaussian = rng.normal(size=lead + shape)
     q, r = np.linalg.qr(gaussian)
     # Sign correction makes the distribution Haar (uniform) rather than
     # biased by the QR convention.
-    q = q * np.sign(np.diagonal(r))
-    return q.T if transpose else q
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    return np.swapaxes(q, -1, -2) if transpose else q
 
 
 class Orthogonal(Initializer):
@@ -54,10 +65,15 @@ class Orthogonal(Initializer):
         super().__init__()
         self.gain = float(gain)
 
+    def sample_layers(
+        self, shape: ParameterShape, rng: np.random.Generator
+    ) -> np.ndarray:
+        matrices = haar_orthogonal_matrix(
+            shape.num_qubits, shape.params_per_qubit, rng, layers=shape.num_layers
+        )
+        return (self.gain * matrices).reshape(-1)
+
     def sample_layer(
         self, shape: ParameterShape, rng: np.random.Generator
     ) -> np.ndarray:
-        rows = shape.num_qubits
-        cols = shape.params_per_qubit
-        matrix = haar_orthogonal_matrix(rows, cols, rng)
-        return (self.gain * matrix).reshape(-1)
+        return self.sample_layers(replace(shape, num_layers=1), rng)

@@ -410,9 +410,8 @@ class JobQueue:
         try:
             fingerprint = spec.fingerprint()
         except (TypeError, ValueError) as error:
-            raise ServiceError(
-                f"spec is not fingerprintable: {error}"
-            ) from error
+            # Resolving the config for the digest also validates it.
+            raise ServiceError(f"invalid experiment spec: {error}") from error
         enqueue = False
         with self._lock:
             # Authoritative drain check: begin_draining flips the flag

@@ -293,6 +293,9 @@ class ExperimentServer:
         )
         self.drain_timeout = float(drain_timeout)
         self._thread: Optional[threading.Thread] = None
+        #: True while :meth:`serve_forever` runs the loop on its caller's
+        #: thread, so :meth:`stop` knows there is a loop to end.
+        self._foreground = False
         self._closed = False
 
     @property
@@ -341,6 +344,10 @@ class ExperimentServer:
                     RuntimeWarning,
                     stacklevel=2,
                 )
+        elif self._foreground:
+            # Blocks until the foreground loop returns, so this must run
+            # on another thread (the signal handlers hand off to one).
+            self._server.shutdown()
         if not self._closed:
             self._closed = True
             self._server.server_close()
@@ -384,11 +391,13 @@ class ExperimentServer:
         restored = self.queue.restore_state()
         if restored and not self._server.quiet:  # pragma: no cover - cosmetic
             print(f"restored {restored} persisted job(s) from queue state")
+        self._foreground = True
         if install_signal_handlers:
             self._install_signal_handlers()
         try:
             self._server.serve_forever()
         finally:
+            self._foreground = False
             if not self._closed:
                 self._closed = True
                 self._server.server_close()

@@ -205,6 +205,127 @@ class TestRunMegabatch:
         assert np.array_equal(chunked, unchunked)
 
 
+def _two_kind_bucket():
+    """Three 3-qubit circuits whose slots mix dense and diagonal gates."""
+    structures = [
+        [["RX", "RZ", "RY"], ["RZ", "RY", "RX"]],
+        [["RZ", "RX", "RZ"], ["RY", "RZ", "RZ"]],
+        [["RY", "RZ", "RX"], ["RX", "RX", "RY"]],
+    ]
+    return [RandomPQC(3, 2, structure=st).build() for st in structures]
+
+
+def _controlled_bucket():
+    """2-qubit parametric slots: CRX (dense) vs CRZ (diagonal) per circuit."""
+    circuits = []
+    for first, second in (("CRX", "CRZ"), ("CRZ", "CRX"), ("CRZ", "CRZ")):
+        circuit = QuantumCircuit(3)
+        for q in range(3):
+            circuit.h(q)
+            circuit.ry(q)
+        circuit.append(first, [0, 1])
+        circuit.append(second, [2, 1])
+        circuit.rx(1)
+        circuits.append(circuit)
+    return circuits
+
+
+def _assert_rows_match_run_batch(simulator, plan, params, rows):
+    states = simulator.run_megabatch(plan, params, rows)
+    for s in np.unique(rows):
+        expected = simulator.run_batch(plan.circuits[s], params[rows == s])
+        assert np.array_equal(states[rows == s], expected), s
+
+
+@pytest.mark.parametrize("backend", ["numpy", "loopback"])
+class TestSlotConformance:
+    """Mixed dense/diagonal slots against per-circuit ``run_batch``."""
+
+    @pytest.mark.parametrize("only", [0, 1])
+    def test_stack_with_one_gate_kind(self, backend, only):
+        # Circuit 0 draws RX at slot 0, circuit 1 draws RZ: a stack of
+        # one circuit's rows meets a mixed plan with one kind only.
+        circuits = _two_kind_bucket()
+        plan = MegaBatchPlan(circuits)
+        assert plan.slot_diagonal[0].tolist() == [False, True, False]
+        rng = np.random.default_rng(3)
+        params = rng.normal(size=(4, plan.num_parameters))
+        rows = np.full(4, only)
+        _assert_rows_match_run_batch(
+            StatevectorSimulator(backend=backend), plan, params, rows
+        )
+
+    def test_chunks_with_one_gate_kind(self, backend, monkeypatch):
+        circuits = _two_kind_bucket()
+        plan = MegaBatchPlan(circuits)
+        simulator = StatevectorSimulator(backend=backend)
+        monkeypatch.setattr(simulator.backend, "chunk_bytes", 16 * 2**3 * 2)
+        assert simulator_module.batch_chunk_rows(3, simulator.backend) == 2
+        rng = np.random.default_rng(4)
+        params = rng.normal(size=(6, plan.num_parameters))
+        rows = np.array([0, 0, 1, 1, 2, 1])
+        _assert_rows_match_run_batch(simulator, plan, params, rows)
+
+    def test_two_qubit_parametric_slots(self, backend):
+        plan = MegaBatchPlan(_controlled_bucket())
+        pos = next(
+            pos for pos, (gates, _) in plan.slot_gates.items()
+            if len(gates) > 1
+        )
+        assert plan.slot_gates[pos][0][0].dim == 4
+        rng = np.random.default_rng(5)
+        params = rng.normal(size=(7, plan.num_parameters))
+        rows = rng.integers(3, size=7)
+        rows[:3] = [0, 1, 2]
+        _assert_rows_match_run_batch(
+            StatevectorSimulator(backend=backend), plan, params, rows
+        )
+
+    def test_single_row(self, backend):
+        plan = MegaBatchPlan(_two_kind_bucket())
+        params = np.random.default_rng(6).normal(size=(1, plan.num_parameters))
+        _assert_rows_match_run_batch(
+            StatevectorSimulator(backend=backend), plan, params, np.array([1])
+        )
+
+    def test_adjoint_two_qubit_slots(self, backend):
+        circuits = _controlled_bucket()
+        rng = np.random.default_rng(7)
+        batches = [rng.normal(size=(2, circuits[0].num_parameters)) for _ in circuits]
+        simulator = StatevectorSimulator(backend=backend)
+        outs = megabatch_adjoint_gradient(
+            circuits, total_z(3), batches, simulator=simulator
+        )
+        for circuit, batch, out in zip(circuits, batches, outs):
+            expected = batch_adjoint_gradient(
+                circuit, total_z(3), batch, simulator=simulator
+            )
+            assert np.array_equal(out, expected)
+
+    def test_mixed_slots_copy_no_rows(self, backend, monkeypatch):
+        simulator = StatevectorSimulator(backend=backend)
+        calls = []
+        cls = type(simulator.backend)
+        for name in ("take_rows", "put_rows"):
+            original = getattr(cls, name)
+
+            def counting(self, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, counting)
+        circuits = _two_kind_bucket()
+        plan = MegaBatchPlan(circuits)
+        rng = np.random.default_rng(8)
+        params = rng.normal(size=(6, plan.num_parameters))
+        simulator.run_megabatch(plan, params, [0, 1, 2, 2, 1, 0])
+        megabatch_adjoint_gradient(
+            circuits, total_z(3), [params[:2], params[2:4], params[4:]],
+            simulator=simulator, plan=plan,
+        )
+        assert calls == []
+
+
 class TestMegabatchParameterShift:
     def test_matches_batch_parameter_shift(self):
         circuits, batches = _random_bucket()

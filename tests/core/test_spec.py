@@ -34,6 +34,24 @@ class TestValidation:
     def test_kinds_registry(self):
         assert set(EXPERIMENT_KINDS) == {"variance", "training", "sweep"}
 
+    def test_single_width_variance_rejected_before_shards(self, monkeypatch):
+        import repro.core.variance as vmod
+
+        calls = []
+        monkeypatch.setattr(
+            vmod, "run_variance_shard", lambda *a, **k: calls.append(1)
+        )
+        spec = ExperimentSpec(
+            kind="variance",
+            config=VarianceConfig(qubit_counts=(3, 3), num_circuits=2),
+            seed=0,
+        )
+        with pytest.raises(ValueError, match="2 distinct qubit counts"):
+            run(spec)
+        with pytest.raises(ValueError, match="2 distinct qubit counts"):
+            spec.fingerprint()
+        assert calls == []
+
     def test_config_dict_coercion(self):
         spec = ExperimentSpec(
             kind="variance", config={"qubit_counts": [2], "num_circuits": 3}

@@ -37,6 +37,36 @@ class TestHaarMatrix:
         assert abs(entries.mean()) < 4 * entries.std() / np.sqrt(entries.size)
 
 
+    @pytest.mark.parametrize("rows, cols", [(6, 2), (2, 5), (7, 1)])
+    def test_stacked_draw_equals_per_layer_loop(self, rows, cols):
+        looped_rng = np.random.default_rng(11)
+        looped = np.stack(
+            [haar_orthogonal_matrix(rows, cols, looped_rng) for _ in range(9)]
+        )
+        stacked_rng = np.random.default_rng(11)
+        stacked = haar_orthogonal_matrix(rows, cols, stacked_rng, layers=9)
+        assert stacked.shape == (9, rows, cols)
+        assert np.array_equal(stacked, looped)
+        assert (
+            stacked_rng.bit_generator.state == looped_rng.bit_generator.state
+        )
+
+    @pytest.mark.parametrize("qubits, ppq", [(6, 2), (2, 5), (7, 1)])
+    def test_sample_equals_sample_layer_loop(self, qubits, ppq):
+        shape = ParameterShape(num_layers=5, num_qubits=qubits, params_per_qubit=ppq)
+        init = Orthogonal(gain=1.7)
+        looped_rng = np.random.default_rng(12)
+        looped = np.concatenate(
+            [init.sample_layer(shape, looped_rng) for _ in range(5)]
+        )
+        stacked_rng = np.random.default_rng(12)
+        assert np.array_equal(init.sample_layers(shape, stacked_rng), looped)
+        assert np.array_equal(init.sample(shape, seed=12), looped)
+        assert (
+            stacked_rng.bit_generator.state == looped_rng.bit_generator.state
+        )
+
+
 class TestOrthogonalInitializer:
     def test_sample_size(self):
         shape = ParameterShape(num_layers=3, num_qubits=5, params_per_qubit=2)

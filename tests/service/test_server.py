@@ -1,9 +1,14 @@
 """End-to-end HTTP tests for ``repro serve`` (ExperimentServer)."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +76,17 @@ class TestEndpoints:
             _post(f"{server.url}/experiments", {"kind": "nonsense"})
         assert excinfo.value.code == 400
         assert "error" in json.loads(excinfo.value.read())
+
+    def test_single_width_variance_400(self, server):
+        spec = ExperimentSpec(
+            kind="variance",
+            config=VarianceConfig(qubit_counts=(4, 4), num_circuits=2),
+            seed=1,
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(f"{server.url}/experiments", spec.to_dict())
+        assert excinfo.value.code == 400
+        assert "2 distinct qubit counts" in json.loads(excinfo.value.read())["error"]
 
     def test_result_before_done_409(self, server, monkeypatch):
         import threading
@@ -261,6 +277,35 @@ class TestCLI:
         )
         assert args.command == "serve"
         assert args.port == 0
+
+    def test_foreground_serve_exits_on_sigterm(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--store", str(tmp_path / "store")],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            line = child.stdout.readline()
+            assert "listening on" in line, line + child.stderr.read()
+            # A served request means the loop (and its handlers) is up.
+            url = line.split("listening on ", 1)[1].split()[0]
+            assert _get(f"{url}/healthz")[0] == 200
+            child.send_signal(signal.SIGTERM)
+            assert child.wait(timeout=10) == 0
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            child.stdout.close()
+            child.stderr.close()
 
 
 class TestNoisyService:

@@ -81,6 +81,20 @@ class TestVarianceCommand:
         outcome = load_result(target)
         assert outcome.result.qubit_counts == [2, 3]
 
+    def test_single_width_fails_before_any_shard(self, capsys, monkeypatch):
+        import repro.core.variance as vmod
+
+        calls = []
+        monkeypatch.setattr(
+            vmod, "run_variance_shard", lambda *a, **k: calls.append(1)
+        )
+        code = main(["variance", "--qubits", "4", "--circuits", "2"])
+        assert code == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "at least 2 distinct qubit counts" in err
+
 
 class TestTrainCommand:
     def test_tiny_run(self, capsys):
