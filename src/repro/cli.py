@@ -394,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--poll-interval",
         type=float,
         default=0.5,
-        help="seconds between lease polls while idle (default: 0.5)",
+        help="longest one lease request waits on the coordinator for "
+        "work; an idle worker asks again at this cadence (default: 0.5)",
     )
     worker.add_argument(
         "--max-idle",

@@ -1232,8 +1232,6 @@ class RemoteExecutor(Executor):
                 url,
                 "--worker-id",
                 f"local-{os.getpid()}-{serial}",
-                "--poll-interval",
-                "0.05",
                 "--max-idle",
                 "120",
             ],
@@ -1412,5 +1410,6 @@ class RemoteExecutor(Executor):
                         proc.kill()
                         proc.wait(timeout=5)
                 if server is not None:
+                    board.close()
                     server.shutdown()
                     server.server_close()

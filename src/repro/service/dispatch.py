@@ -7,11 +7,16 @@ endpoints (served either by ``repro serve`` or by the embedded
 standalone server of the ``remote`` executor):
 
 ``POST /work/lease``
-    Body ``{"worker_id": ...}``.  Grants the next pending unit as a
-    *lease* — unit id, content fingerprint, the attempt number its
-    first worker-side try counts as, the lease TTL, any scheduled
-    compute faults, plus the job's worker-form spec — or
-    ``{"lease": null, "idle": true}`` when nothing is pending.
+    Body ``{"worker_id": ..., "wait": seconds}``.  Grants the next
+    pending unit as a *lease* — unit id, content fingerprint, the
+    attempt number its first worker-side try counts as, the lease TTL,
+    any scheduled compute faults, plus the job's worker-form spec — or
+    ``{"lease": null, "idle": true}`` when nothing is pending.  The
+    optional ``wait`` makes the request a long-poll: an idle board holds
+    it open until a unit turns pending (a job registers, a reclaimed
+    unit is requeued) or ``wait`` seconds pass.  ``wait`` is clamped to
+    ``[0, 25]`` — below the worker's 30 s HTTP timeout — and a
+    non-numeric value is a ``400``; missing or ``0`` answers at once.
 
 ``POST /work/heartbeat``
     Body ``{"worker_id": ..., "leases": [...]}``.  Renews the named
@@ -88,6 +93,10 @@ __all__ = [
 
 #: Default seconds a lease stays valid without a heartbeat renewal.
 DEFAULT_LEASE_TTL = 15.0
+
+#: Longest a ``POST /work/lease`` long-poll is held open, kept below the
+#: worker's 30 s HTTP timeout.
+MAX_LEASE_WAIT = 25.0
 
 #: Compute fault kinds shipped inside leases and applied worker-side.
 _WORKER_FAULT_KINDS = ("transient", "kill", "slow")
@@ -213,6 +222,8 @@ class DispatchBoard:
         self._by_fingerprint: Dict[str, List[Tuple[str, str]]] = {}
         #: worker_id -> wall-clock time of its last request.
         self._workers: Dict[str, float] = {}
+        #: Set by :meth:`close`: lease long-polls answer idle at once.
+        self._closed = False
         self._stats = {
             "leases_granted": 0,
             "reclaimed_leases": 0,
@@ -322,24 +333,37 @@ class DispatchBoard:
         if expired:
             self._cond.notify_all()
 
-    def lease(self, worker_id: str) -> Tuple[int, dict]:
-        """Grant the next pending unit (FIFO across registration order)."""
+    def _next_pending_locked(self) -> Optional[Tuple[_BoardJob, _RemoteUnit]]:
+        for job_id in self._job_order:
+            job = self._jobs[job_id]
+            for unit_id in job.order:
+                unit = job.units[unit_id]
+                if unit.state == "pending":
+                    return job, unit
+        return None
+
+    def lease(self, worker_id: str, wait: float = 0.0) -> Tuple[int, dict]:
+        """Grant the next pending unit (FIFO across registration order).
+
+        With nothing pending, block up to ``wait`` seconds (clamped to
+        ``[0, MAX_LEASE_WAIT]``) for a unit to turn leasable, waking at
+        least every 0.25 s to reap overdue leases like
+        :meth:`wait_events`.  The worker counts as seen on arrival.
+        """
+        wait = min(max(0.0, float(wait)), MAX_LEASE_WAIT)
+        deadline = time.monotonic() + wait
         delay = 0.0
         with self._cond:
-            self._reap_expired_locked()
             self._workers[worker_id] = time.time()
-            picked: Optional[Tuple[_BoardJob, _RemoteUnit]] = None
-            for job_id in self._job_order:
-                job = self._jobs[job_id]
-                for unit_id in job.order:
-                    unit = job.units[unit_id]
-                    if unit.state == "pending":
-                        picked = (job, unit)
-                        break
-                if picked:
+            while True:
+                self._reap_expired_locked()
+                picked = self._next_pending_locked()
+                if picked is not None:
                     break
-            if picked is None:
-                return 200, {"lease": None, "idle": True}
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or self._closed:
+                    return 200, {"lease": None, "idle": True}
+                self._cond.wait(min(remaining, 0.25))
             job, unit = picked
             if unit.net_fault("partition") is not None:
                 self._stats["partitioned_requests"] += 1
@@ -520,6 +544,12 @@ class DispatchBoard:
                 self._close_unit_leases_locked(job_id, unit_id)
                 self._cond.notify_all()
 
+    def close(self) -> None:
+        """Release lease long-polls for shutdown: they answer idle at once."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+
     def wait_events(self, job_id: str, timeout: float = 0.25) -> List[dict]:
         """Drain a job's event outbox, blocking up to ``timeout`` seconds.
 
@@ -579,7 +609,14 @@ def handle_work_request(
         return 404, {"error": f"no work route for {path!r}"}
     worker_id = str(payload.get("worker_id") or "anonymous")
     if parts[1:] == ["lease"]:
-        return board.lease(worker_id)
+        wait = payload.get("wait")
+        try:
+            wait = 0.0 if wait is None else float(wait)
+        except (TypeError, ValueError):
+            wait = float("nan")
+        if wait != wait:
+            return 400, {"error": "lease 'wait' must be a number of seconds"}
+        return board.lease(worker_id, wait)
     if parts[1:] == ["heartbeat"]:
         leases = payload.get("leases") or []
         if not isinstance(leases, (list, tuple)):
@@ -606,6 +643,9 @@ def make_dispatch_server(
 
     class _DispatchHandler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Headers and body go out in separate writes; without this a
+        # keep-alive client waits out its delayed ACK on every response.
+        disable_nagle_algorithm = True
 
         def log_message(self, format: str, *args) -> None:  # noqa: A002
             pass
@@ -842,7 +882,11 @@ def run_worker(
 ) -> int:
     """Pull-execute-push worker loop (the ``repro worker`` command).
 
-    Connects to a coordinator at ``url``, leases one unit at a time,
+    Connects to a coordinator at ``url``, leases one unit at a time
+    (each lease request long-polls up to ``poll_interval`` seconds, so an
+    idle worker picks up new work as soon as it is registered; after an
+    idle answer it sleeps only what is left of ``poll_interval``, which
+    keeps its cadence against a coordinator that answers at once),
     re-plans each job's spec locally (verifying the lease's content
     fingerprint — mismatch reports ``SpecMismatch`` upstream and exits
     ``3``), executes through :func:`call_with_faults` under the shared
@@ -865,10 +909,14 @@ def run_worker(
     policy = RetryPolicy.coerce(retry)
     heartbeat = _HeartbeatThread(base_url, worker_id)
     heartbeat.start()
-    #: job_id -> (units_by_id, unit fingerprints) from the local re-plan.
-    plans: Dict[str, Tuple[Dict[str, Any], Dict[str, str]]] = {}
+    poll_interval = float(poll_interval)
+    #: The current job's id and (units_by_id, unit fingerprints) from the
+    #: local re-plan; a lease for another job replaces it.
+    plan_job: Optional[str] = None
+    units_by_id: Dict[str, Any] = {}
+    fingerprints: Dict[str, str] = {}
     idle_since = time.monotonic()
-    reconnect_delay = max(0.05, float(poll_interval))
+    reconnect_delay = max(0.05, poll_interval)
     exit_code = 0
     try:
         while True:
@@ -881,9 +929,11 @@ def run_worker(
                 if verbose:
                     print(f"[worker {worker_id}] idle for {max_idle}s; exiting")
                 return exit_code
+            asked = time.monotonic()
             try:
                 status, body = _post_json(
-                    f"{base_url}/work/lease", {"worker_id": worker_id}
+                    f"{base_url}/work/lease",
+                    {"worker_id": worker_id, "wait": poll_interval},
                 )
             except (urllib.error.URLError, OSError) as error:
                 if verbose:
@@ -894,27 +944,24 @@ def run_worker(
                 time.sleep(reconnect_delay)
                 reconnect_delay = min(reconnect_delay * 2, 10.0)
                 continue
-            reconnect_delay = max(0.05, float(poll_interval))
+            reconnect_delay = max(0.05, poll_interval)
             if status != 200:
                 # 503: draining, partition, or an injected drop — poll on.
-                time.sleep(float(poll_interval))
+                time.sleep(poll_interval)
                 continue
             lease = body.get("lease")
             if not lease:
                 if once:
                     return exit_code
-                time.sleep(float(poll_interval))
+                time.sleep(max(0.0, poll_interval - (time.monotonic() - asked)))
                 continue
             idle_since = time.monotonic()
             job_id = str(lease["job_id"])
-            if job_id not in plans:
-                spec = ExperimentSpec.from_dict(body["spec"])
-                plan = plan_experiment(spec)
-                plans[job_id] = (
-                    {unit.unit_id: unit for unit in plan.units},
-                    dict(plan.unit_fingerprints),
-                )
-            units_by_id, fingerprints = plans[job_id]
+            if job_id != plan_job:
+                plan = plan_experiment(ExperimentSpec.from_dict(body["spec"]))
+                plan_job = job_id
+                units_by_id = {unit.unit_id: unit for unit in plan.units}
+                fingerprints = dict(plan.unit_fingerprints)
             unit_id = str(lease["unit_id"])
             expected = str(lease["unit_fingerprint"])
             unit = units_by_id.get(unit_id)

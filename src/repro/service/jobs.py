@@ -55,18 +55,31 @@ and state change appends to the job's monotonically numbered event log;
 /experiments/<id>/events?since=N`` endpoint), and
 :meth:`JobQueue.partial_result` assembles a quarantined job's completed
 shards plus its persisted failure report (``?partial=1``).
+
+**Retirement.**  A finished job does not stay in memory.  On its
+terminal transition, after its final ``state`` event (or at birth, for
+a whole-result cache hit), the job is written once to
+``<store>/jobs/<job-id>.json`` — status fields, events, spec dict,
+``unit_order`` and ``unit_fingerprints`` — and dropped from the queue's
+live table, so the server's memory stays flat however many jobs it
+serves.  :meth:`JobQueue.get` serves retired ids from those records, so
+status, events, result and partial bodies read the same before and
+after retirement; only ids this queue issued are looked up, so a
+restarted server never serves a stale record under a reissued id.
+``/healthz`` retry metrics come from running totals over retired jobs
+plus a scan of the live ones.  If a record cannot be written the job
+simply stays in memory.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import queue
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -135,6 +148,22 @@ class Job:
 
     def heartbeat(self) -> None:
         self.heartbeat_at = time.time()
+
+    def to_record(self) -> dict:
+        """JSON-able snapshot of a terminal job (its retirement record)."""
+        record = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "spec" and not f.name.startswith("_")
+        }
+        record["spec"] = self.spec.to_dict()
+        return record
+
+    @classmethod
+    def from_record(cls, record: dict) -> "Job":
+        record = dict(record)
+        spec = ExperimentSpec.from_dict(record.pop("spec"))
+        return cls(spec=spec, **record)
 
     def record_event(self, kind: str, **data: Any) -> None:
         """Append one progress event and wake any long-pollers.
@@ -237,13 +266,23 @@ class JobQueue:
             None if stall_timeout is None else float(stall_timeout)
         )
         self._lock = threading.RLock()
+        #: Live jobs in submission order; finished ones are retired to
+        #: ``<store>/jobs/`` (see the module docstring).
         self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
+        #: How many job ids this queue issued (``job-000001`` onwards).
+        self._issued = 0
+        #: Retired jobs by state, and their summed reliability counters.
+        self._retired_states: Dict[str, int] = {}
+        self._retired_totals = {
+            "total_retries": 0,
+            "units_retried": 0,
+            "units_failed": 0,
+            "pool_rebuilds": 0,
+        }
         #: fingerprint -> job_id for jobs still queued/running.
         self._inflight: Dict[str, str] = {}
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         self._threads: List[threading.Thread] = []
-        self._counter = itertools.count(1)
         self._started = False
         self._draining = False
         #: Lease ledger for ``remote``-executor jobs: their units are
@@ -332,8 +371,7 @@ class JobQueue:
                     "submissions": job.submissions,
                     "spec": job.spec.to_dict(),
                 }
-                for job_id in self._order
-                for job in (self._jobs[job_id],)
+                for job in self._jobs.values()
                 if job.state in ("queued", "running")
             ]
         path = self.state_path()
@@ -432,8 +470,9 @@ class JobQueue:
                 job = self._jobs[inflight_id]
                 job.submissions += 1
                 return job
+            self._issued += 1
             job = Job(
-                job_id=f"job-{next(self._counter):06d}",
+                job_id=f"job-{self._issued:06d}",
                 spec=spec,
                 fingerprint=fingerprint,
             )
@@ -445,18 +484,77 @@ class JobQueue:
                 self._inflight[fingerprint] = job.job_id
                 enqueue = True
             self._jobs[job.job_id] = job
-            self._order.append(job.job_id)
         if enqueue:
             self._queue.put(job.job_id)
+        else:
+            self._retire(job)
         return job
 
     def get(self, job_id: str) -> Optional[Job]:
+        """A live job, or a retired one rebuilt from its record."""
         with self._lock:
-            return self._jobs.get(job_id)
+            job = self._jobs.get(job_id)
+            if job is not None or not self._issued_id(job_id):
+                return job
+        try:
+            record = json.loads(
+                self._record_path(job_id).read_text(encoding="utf-8")
+            )
+            return Job.from_record(record)
+        except (OSError, ValueError, TypeError, KeyError):
+            return None
 
     def jobs(self) -> List[Job]:
+        """Every job this queue issued, in order (reads retired records)."""
         with self._lock:
-            return [self._jobs[job_id] for job_id in self._order]
+            issued = self._issued
+        found = (self.get(f"job-{n:06d}") for n in range(1, issued + 1))
+        return [job for job in found if job is not None]
+
+    # -- retirement --------------------------------------------------------
+
+    def _issued_id(self, job_id: str) -> bool:
+        try:
+            number = int(job_id[4:])
+        except ValueError:
+            return False
+        return 1 <= number <= self._issued and job_id == f"job-{number:06d}"
+
+    def _record_path(self, job_id: str) -> Path:
+        return self.store.root / "jobs" / f"{job_id}.json"
+
+    def _retire(self, job: Job) -> None:
+        """Write a terminal job's record once, then drop it from memory."""
+        path = self._record_path(job.job_id)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            tmp.write_text(json.dumps(job.to_record()), encoding="utf-8")
+            os.replace(tmp, path)
+        except (OSError, TypeError, ValueError) as error:
+            warnings.warn(
+                f"could not retire {job.job_id} to {path}: {error}; "
+                f"keeping it in memory",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return
+        with self._lock:
+            self._jobs.pop(job.job_id, None)
+            self._retired_states[job.state] = (
+                self._retired_states.get(job.state, 0) + 1
+            )
+            for key, value in self._job_totals(job).items():
+                self._retired_totals[key] += value
+
+    @staticmethod
+    def _job_totals(job: Job) -> Dict[str, int]:
+        return {
+            "total_retries": int(sum(job.retried_units.values())),
+            "units_retried": len(job.retried_units),
+            "units_failed": len(job.failed_units),
+            "pool_rebuilds": int(job.pool_rebuilds),
+        }
 
     def result_text(self, job: Job) -> Optional[str]:
         """The stored result payload for a finished job (exact bytes)."""
@@ -506,32 +604,21 @@ class JobQueue:
     def retry_metrics(self) -> dict:
         """Queue-wide reliability counters (the ``/healthz`` payload).
 
-        Aggregates every tracked job under the queue lock: jobs by
-        state, total extra attempts consumed, how many distinct units
-        retried, how many were quarantined, and process-pool rebuilds —
-        one glance tells an operator whether the fleet is healthy,
-        limping on retries, or shedding units.
+        Aggregates every job this queue issued: jobs by state, total
+        extra attempts consumed, how many distinct units retried, how
+        many were quarantined, and process-pool rebuilds — one glance
+        tells an operator whether the fleet is healthy, limping on
+        retries, or shedding units.  Retired jobs count through running
+        totals; only live jobs are scanned.
         """
         with self._lock:
-            jobs_by_state: Dict[str, int] = {}
-            total_retries = 0
-            units_retried = 0
-            units_failed = 0
-            pool_rebuilds = 0
-            for job_id in self._order:
-                job = self._jobs[job_id]
+            jobs_by_state = dict(self._retired_states)
+            totals = dict(self._retired_totals)
+            for job in self._jobs.values():
                 jobs_by_state[job.state] = jobs_by_state.get(job.state, 0) + 1
-                total_retries += int(sum(job.retried_units.values()))
-                units_retried += len(job.retried_units)
-                units_failed += len(job.failed_units)
-                pool_rebuilds += int(job.pool_rebuilds)
-            return {
-                "jobs_by_state": jobs_by_state,
-                "total_retries": total_retries,
-                "units_retried": units_retried,
-                "units_failed": units_failed,
-                "pool_rebuilds": pool_rebuilds,
-            }
+                for key, value in self._job_totals(job).items():
+                    totals[key] += value
+            return {"jobs_by_state": jobs_by_state, **totals}
 
     # -- execution ---------------------------------------------------------
 
@@ -562,6 +649,7 @@ class JobQueue:
                 job.finished_at = time.time()
                 self._inflight.pop(job.fingerprint, None)
             job.record_event("state")
+            self._retire(job)
 
     def _should_abort(self, job: Job) -> Optional[str]:
         """The reason this job must stop now, or None to keep going."""

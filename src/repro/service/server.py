@@ -75,6 +75,9 @@ from repro.service.store import ResultStore
 
 __all__ = ["ExperimentServer", "make_server"]
 
+#: Seconds between the serving loop's shutdown checks.
+_SHUTDOWN_POLL_S = 0.1
+
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying the queue/store for its handlers."""
@@ -89,6 +92,9 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: _ServiceHTTPServer
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; without this a
+    # keep-alive client waits out its delayed ACK on every response.
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -325,6 +331,7 @@ class ExperimentServer:
         self.queue.start()
         self._thread = threading.Thread(
             target=self._server.serve_forever,
+            args=(_SHUTDOWN_POLL_S,),
             name="repro-serve",
             daemon=True,
         )
@@ -332,7 +339,11 @@ class ExperimentServer:
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Stop listening and the job workers (idempotent; warns on leaks)."""
+        """Stop listening and the job workers (idempotent; warns on leaks).
+
+        Lease long-polls still open are answered idle at once.
+        """
+        self.queue.dispatch.close()
         thread, self._thread = self._thread, None
         if thread is not None:
             self._server.shutdown()
@@ -395,7 +406,9 @@ class ExperimentServer:
         if install_signal_handlers:
             self._install_signal_handlers()
         try:
-            self._server.serve_forever()
+            # shutdown() waits for the loop's next poll: keep SIGTERM
+            # exit well under a second.
+            self._server.serve_forever(poll_interval=_SHUTDOWN_POLL_S)
         finally:
             self._foreground = False
             if not self._closed:

@@ -27,11 +27,17 @@ valid payload (last writer wins; every version is intact).
 and ``max_age`` (seconds) define an LRU budget enforced by :meth:`gc` —
 explicitly, via the ``repro store gc`` CLI, or automatically after any
 put that pushes the tracked total over budget.  Recency is the data
-file's mtime (reads touch it), byte totals live in an ``index.json``
-updated atomically under its own lock and rebuilt from a directory scan
-whenever it is missing or corrupt.  Corrupt entries found by readers or
-by :meth:`gc` move to a ``quarantine/`` directory — inspectable, never
-re-read, never re-warned.
+file's mtime (reads touch it).  Byte totals live in ``index.json``
+plus an append-only ``index.log``: every put (and every forget)
+appends one ``<size|-> <relpath>`` line under the ``index.lock`` file
+lock — O(1) whatever the store's size, and safe with several processes
+on one root.  :meth:`total_bytes` folds the log into ``index.json``
+(atomic rewrite, then the log is removed) and :meth:`gc` replaces both
+with its scan.  A missing or corrupt ``index.json``, or an unreadable
+log line, is rebuilt from a directory scan, which supersedes the log.
+Corrupt entries found by readers or by :meth:`gc` move to a
+``quarantine/`` directory — inspectable, never re-read, never
+re-warned.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ class ResultStore:
         if self.max_age is not None and self.max_age <= 0:
             raise ValueError("max_age must be positive when set")
         self._index_path = self.root / "index.json"
+        self._log_path = self.root / "index.log"
 
     # -- helpers -----------------------------------------------------------
 
@@ -235,34 +242,63 @@ class ResultStore:
         )
         os.replace(tmp, self._index_path)
 
+    def _index_append(self, relpath: str, size: Optional[int]) -> None:
+        """Log one entry's size (``None``: forget it) for the next fold."""
+        line = f"{'-' if size is None else size} {relpath}\n"
+        with self._index_lock():
+            with open(self._log_path, "a", encoding="utf-8") as log:
+                log.write(line)
+
     def _index_record(self, path: Path) -> None:
-        """Atomically record (or refresh) one entry's size in the index."""
+        """Record (or refresh) one entry's size in the index log."""
         try:
             size = path.stat().st_size
         except OSError:
             return
-        with self._index_lock():
-            entries = self._read_index_unlocked()
-            if entries is None:
-                entries = self._scan_entries()  # self-heal from a scan
-            entries[self._relpath(path)] = size
-            self._write_index_unlocked(entries)
+        self._index_append(self._relpath(path), size)
 
     def _index_forget(self, relpath: str) -> None:
-        with self._index_lock():
-            entries = self._read_index_unlocked()
+        self._index_append(relpath, None)
+
+    def _fold_index_unlocked(self) -> Dict[str, int]:
+        """Replay the log onto ``index.json``, rewrite it, drop the log.
+
+        Replaying is idempotent (each line sets or removes one key), so
+        a crash between the rewrite and the unlink loses nothing.
+        """
+        try:
+            lines = self._log_path.read_text(encoding="utf-8").splitlines()
+        except OSError:
+            lines = []
+        entries = self._read_index_unlocked()
+        dirty = bool(lines)
+        try:
             if entries is None:
-                entries = self._scan_entries()
-            entries.pop(relpath, None)
+                raise ValueError("index.json missing or corrupt")
+            for line in lines:
+                size, relpath = line.split(" ", 1)
+                if size == "-":
+                    entries.pop(relpath, None)
+                else:
+                    entries[relpath] = int(size)
+        except ValueError:
+            entries = self._scan_entries()  # self-heal; supersedes the log
+            dirty = True
+        if dirty:
             self._write_index_unlocked(entries)
+            self._drop_log_unlocked()
+        return entries
+
+    def _drop_log_unlocked(self) -> None:
+        try:
+            self._log_path.unlink()
+        except OSError:
+            pass
 
     def total_bytes(self) -> int:
         """Tracked payload bytes (index-backed; rebuilt by scan if needed)."""
         with self._index_lock():
-            entries = self._read_index_unlocked()
-            if entries is None:
-                entries = self._scan_entries()
-                self._write_index_unlocked(entries)
+            entries = self._fold_index_unlocked()
         return sum(entries.values())
 
     # -- eviction ----------------------------------------------------------
@@ -332,6 +368,7 @@ class ResultStore:
             evicted += 1
         with self._index_lock():
             self._write_index_unlocked(survivors)
+            self._drop_log_unlocked()
         return {
             "evicted": evicted,
             "freed_bytes": freed,

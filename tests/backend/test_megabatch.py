@@ -188,19 +188,29 @@ class TestRunMegabatch:
         plan = MegaBatchPlan(circuits)
         simulator = StatevectorSimulator()
         chunk_rows = 4
+        # run_megabatch reads its budget from the backend.
         monkeypatch.setattr(
-            simulator_module,
-            "_RUN_BATCH_CHUNK_BYTES",
-            16 * 2**3 * chunk_rows,
+            simulator.backend, "chunk_bytes", 16 * 2**3 * chunk_rows
         )
-        batch = chunk_rows + delta
+        assert simulator_module.batch_chunk_rows(3, simulator.backend) == 4
+        batch = 2 * chunk_rows + delta
         rng = np.random.default_rng(7)
         params = rng.normal(size=(batch, plan.num_parameters))
         rows = rng.integers(3, size=batch)
+        calls = []
+        run_rows = simulator._run_megabatch_data
+
+        def counting(plan, params_batch, *args):
+            calls.append(len(params_batch))
+            return run_rows(plan, params_batch, *args)
+
+        monkeypatch.setattr(simulator, "_run_megabatch_data", counting)
         chunked = simulator.run_megabatch(plan, params, rows)
-        monkeypatch.setattr(
-            simulator_module, "_RUN_BATCH_CHUNK_BYTES", 8 * 2**20
-        )
+        # The whole batch, then one call per chunk of <= chunk_rows rows.
+        chunks = calls[1:]
+        assert len(chunks) == -(-batch // chunk_rows) > 1
+        assert sum(chunks) == batch and max(chunks) <= chunk_rows
+        monkeypatch.undo()
         unchunked = simulator.run_megabatch(plan, params, rows)
         assert np.array_equal(chunked, unchunked)
 

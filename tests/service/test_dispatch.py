@@ -25,6 +25,8 @@ from repro.service import ExperimentServer
 from repro.service.dispatch import (
     SPEC_MISMATCH_EXIT,
     DispatchBoard,
+    handle_work_request,
+    make_dispatch_server,
     run_worker,
 )
 
@@ -193,6 +195,99 @@ class TestDispatchBoard:
         assert status == 404
         assert board.wait_events("job-a", timeout=0.05) == []
         assert board.stats()["active_leases"] == 0
+
+
+def _lease_in_thread(board, worker_id, wait):
+    """Start ``board.lease`` on a thread; the holder gets the result and
+    the monotonic time it returned."""
+    holder = {}
+
+    def target():
+        holder["result"] = board.lease(worker_id, wait)
+        holder["returned"] = time.monotonic()
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread, holder
+
+
+class TestLongPollLease:
+    def test_waiting_lease_wakes_on_register(self):
+        board = DispatchBoard(lease_ttl=5.0)
+        thread, holder = _lease_in_thread(board, "w1", 5.0)
+        time.sleep(0.3)
+        assert thread.is_alive()  # idle board: the request is held open
+        registered = time.monotonic()
+        _register(board, [("u0", "fp0", None)])
+        thread.join(timeout=5.0)
+        status, body = holder["result"]
+        assert status == 200 and body["lease"]["unit_id"] == "u0"
+        assert holder["returned"] - registered < 0.2
+
+    def test_lease_expires_while_another_request_waits(self):
+        board = DispatchBoard(lease_ttl=0.2)
+        _register(board, [("u0", "fp0", None)])
+        board.lease("w1")  # never heartbeats
+        thread, holder = _lease_in_thread(board, "w2", 5.0)
+        events = board.wait_events("job-a", timeout=3.0)
+        assert [e["kind"] for e in events] == ["expired"]
+        assert thread.is_alive()  # a reclaiming unit is not leasable
+        requeued = time.monotonic()
+        board.requeue("job-a", "u0")
+        thread.join(timeout=5.0)
+        status, body = holder["result"]
+        assert status == 200
+        assert body["lease"]["unit_id"] == "u0"
+        assert body["lease"]["attempt"] == 2
+        assert holder["returned"] - requeued < 0.2
+
+    @pytest.mark.parametrize("payload", [{}, {"wait": 0}, {"wait": None}])
+    def test_missing_or_zero_wait_answers_at_once(self, payload):
+        board = DispatchBoard(lease_ttl=5.0)
+        start = time.monotonic()
+        status, body = handle_work_request(
+            board, "/work/lease", {"worker_id": "w1", **payload}
+        )
+        assert (status, body) == (200, {"lease": None, "idle": True})
+        assert time.monotonic() - start < 0.1
+
+    @pytest.mark.parametrize("wait", ["soon", [1], {"s": 1}, "nan"])
+    def test_non_numeric_wait_is_rejected(self, wait):
+        board = DispatchBoard(lease_ttl=5.0)
+        status, body = handle_work_request(
+            board, "/work/lease", {"worker_id": "w1", "wait": wait}
+        )
+        assert status == 400
+        assert "wait" in body["error"]
+        assert board.stats()["workers"] == []
+
+    def test_negative_wait_answers_at_once(self):
+        board = DispatchBoard(lease_ttl=5.0)
+        start = time.monotonic()
+        assert board.lease("w1", -3.0)[1] == {"lease": None, "idle": True}
+        assert time.monotonic() - start < 0.1
+
+    def test_worker_listed_while_its_lease_waits(self):
+        board = DispatchBoard(lease_ttl=5.0)
+        thread, _ = _lease_in_thread(board, "w1", 2.0)
+        deadline = time.monotonic() + 1.0
+        while "w1" not in board.stats()["workers"]:
+            assert time.monotonic() < deadline, "worker not listed"
+            time.sleep(0.01)
+        assert thread.is_alive()
+        board.close()
+        thread.join(timeout=1.0)
+        assert not thread.is_alive()
+
+    def test_close_releases_waiting_leases(self):
+        board = DispatchBoard(lease_ttl=5.0)
+        thread, holder = _lease_in_thread(board, "w1", 5.0)
+        time.sleep(0.1)
+        closed = time.monotonic()
+        board.close()
+        thread.join(timeout=5.0)
+        assert holder["result"] == (200, {"lease": None, "idle": True})
+        assert holder["returned"] - closed < 0.2
 
 
 class TestNetworkFaults:
@@ -499,3 +594,72 @@ class TestWorkerCLI:
             ["serve", "--port", "0", "--store", "x", "--lease-ttl", "3.5"]
         )
         assert args.lease_ttl == 3.5
+
+
+def _keep_alive_rounds(host, port, method, path, body=None, rounds=20):
+    """Seconds for ``rounds`` requests on one keep-alive connection."""
+    import http.client
+
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        start = time.monotonic()
+        for _ in range(rounds):
+            conn.request(method, path, body=body)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+        return time.monotonic() - start
+    finally:
+        conn.close()
+
+
+class TestLongPollServing:
+    def test_idle_worker_picks_up_a_job_before_its_poll_interval(
+        self, tmp_path
+    ):
+        """A worker long-polling with a 5 s interval starts a new job's
+        units as soon as they are registered, not after its poll sleep."""
+        stop = threading.Event()
+
+        def worker():
+            # once=True returns after each unit (or idle answer), so the
+            # loop stops promptly after close() releases the last wait.
+            while not stop.is_set():
+                run_worker(
+                    server.url, worker_id="patient", poll_interval=5.0,
+                    once=True, allow_exit=False,
+                )
+
+        with ExperimentServer(store=tmp_path / "store") as server:
+            thread = threading.Thread(target=worker, daemon=True)
+            thread.start()
+            deadline = time.monotonic() + 10.0
+            while "patient" not in server.queue.dispatch.stats()["workers"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            start = time.monotonic()
+            _, job = _post(f"{server.url}/experiments", _spec().to_dict())
+            status = _poll_done(server, job["job_id"], timeout=30.0)
+            elapsed = time.monotonic() - start
+            stop.set()
+            server.queue.dispatch.close()
+            thread.join(timeout=5.0)
+        assert status["state"] == "done", status.get("error")
+        assert elapsed < 2.5
+        assert not thread.is_alive()
+
+    def test_dispatch_server_answers_keep_alive_requests_promptly(self):
+        board = DispatchBoard(lease_ttl=5.0)
+        server = make_dispatch_server(board)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            body = json.dumps({"worker_id": "w1"}).encode("utf-8")
+            # Without TCP_NODELAY each response waits out the client's
+            # delayed ACK (~40 ms): 20 round trips took ~0.8 s.
+            assert _keep_alive_rounds(host, port, "POST", "/work/lease", body) < 0.4
+            assert _keep_alive_rounds(host, port, "GET", "/healthz") < 0.4
+        finally:
+            server.shutdown()
+            server.server_close()

@@ -177,3 +177,58 @@ class TestCaching:
             assert job.state == "done"
         finally:
             queue.stop()
+
+
+def _wait_retired(queue, job, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while job.job_id in queue._jobs:
+        assert time.monotonic() < deadline, "job was not retired"
+        time.sleep(0.01)
+
+
+class TestRetirement:
+    def test_finished_job_leaves_memory_and_reads_back(self, queue):
+        job = _wait(queue.submit(_spec()))
+        _wait_retired(queue, job)
+        retired = queue.get(job.job_id)
+        assert retired is not job
+        assert retired.status_dict() == job.status_dict()
+        assert retired.events_since(0, timeout=0) == job.events
+        assert retired.unit_order == job.unit_order
+        assert retired.unit_fingerprints == job.unit_fingerprints
+        assert queue.partial_result(retired) == queue.partial_result(job)
+        assert queue.result_text(retired) == queue.result_text(job)
+        assert [j.job_id for j in queue.jobs()] == [job.job_id]
+
+    def test_retry_metrics_count_retired_jobs(self, tmp_path):
+        queue = JobQueue(
+            tmp_path / "store",
+            retry={"max_attempts": 2, "base_delay": 0.0, "jitter": 0.0},
+        ).start()
+        try:
+            plan = {"units": {"#0": [{"kind": "transient", "times": 1}]}}
+            job = _wait(queue.submit(_spec(fault_plan=plan)))
+            _wait_retired(queue, job)
+            metrics = queue.retry_metrics()
+        finally:
+            queue.stop()
+        assert metrics["jobs_by_state"] == {"done": 1}
+        assert metrics["total_retries"] == 1
+        assert metrics["units_retried"] == 1
+
+    def test_second_queue_on_the_store_does_not_serve_first_queues_ids(
+        self, queue, tmp_path
+    ):
+        job = _wait(queue.submit(_spec()))
+        _wait_retired(queue, job)
+        second = JobQueue(tmp_path / "store").start()
+        try:
+            assert second.get(job.job_id) is None
+            assert second.jobs() == []
+            # Once the second queue issues that id, it serves its own job.
+            mine = _wait(second.submit(_spec(seed=4)))
+            assert mine.job_id == job.job_id
+            _wait_retired(second, mine)
+            assert second.get(mine.job_id).fingerprint == mine.fingerprint
+        finally:
+            second.stop()

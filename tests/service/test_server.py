@@ -307,6 +307,135 @@ class TestCLI:
             child.stdout.close()
             child.stderr.close()
 
+    def test_sigterm_exits_promptly_with_a_long_polling_worker(self, tmp_path):
+        """A worker holding a lease long-poll open must not delay exit."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--store", str(tmp_path / "store")],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        worker = None
+        try:
+            line = child.stdout.readline()
+            assert "listening on" in line, line + child.stderr.read()
+            url = line.split("listening on ", 1)[1].split()[0]
+            worker = subprocess.Popen(
+                [sys.executable, "-m", "repro", "worker", "--connect", url,
+                 "--worker-id", "lp", "--poll-interval", "20"],
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+                env=env,
+            )
+            deadline = time.monotonic() + 30.0
+            while "lp" not in _get(f"{url}/healthz")[1]["dispatch"]["workers"]:
+                assert time.monotonic() < deadline, "worker never attached"
+                time.sleep(0.05)
+            child.send_signal(signal.SIGTERM)
+            assert child.wait(timeout=1.0) == 0
+        finally:
+            for proc in (worker, child):
+                if proc is not None and proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+            child.stdout.close()
+            child.stderr.close()
+
+
+class TestKeepAlive:
+    def test_keep_alive_responses_do_not_stall(self, server):
+        """Headers and body go out in two writes; without TCP_NODELAY
+        each response on a reused connection waits out the client's
+        delayed ACK (~40 ms each, ~0.8 s for these 20 requests)."""
+        import http.client
+
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            start = time.monotonic()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.monotonic() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.4
+
+
+class TestJobRetirement:
+    def _bodies(self, server, job_id):
+        base = f"{server.url}/experiments/{job_id}"
+        return [
+            _get(url, raw=True)
+            for url in (
+                base,
+                f"{base}/events?since=0&timeout=0",
+                f"{base}/result",
+                f"{base}/result?partial=1",
+            )
+        ]
+
+    def test_bodies_identical_before_and_after_retirement(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import JobQueue
+
+        held = []
+        retire = JobQueue._retire
+        monkeypatch.setattr(JobQueue, "_retire", lambda q, job: held.append(job))
+        with ExperimentServer(store=tmp_path / "store") as server:
+            _, job = _post(f"{server.url}/experiments", _SPEC.to_dict())
+            _poll_done(server, job["job_id"])
+            deadline = time.monotonic() + 10.0
+            while not held:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            queue = server.queue
+            live = self._bodies(server, job["job_id"])
+            health = _get(f"{server.url}/healthz")[1]["retries"]
+            retire(queue, held[0])
+            assert job["job_id"] not in queue._jobs
+            assert (tmp_path / "store" / "jobs" / f"{job['job_id']}.json").is_file()
+            assert self._bodies(server, job["job_id"]) == live
+            assert _get(f"{server.url}/healthz")[1]["retries"] == health
+            listed = _get(f"{server.url}/experiments")[1]["jobs"]
+            assert [j["job_id"] for j in listed] == [job["job_id"]]
+
+    def test_finished_and_cache_hit_jobs_leave_memory(self, server):
+        _, first = _post(f"{server.url}/experiments", _SPEC.to_dict())
+        _poll_done(server, first["job_id"])
+        _, second = _post(f"{server.url}/experiments", _SPEC.to_dict())
+        assert second["cache_hit"] is True
+        deadline = time.monotonic() + 10.0
+        while server.queue._jobs:
+            assert time.monotonic() < deadline, list(server.queue._jobs)
+            time.sleep(0.01)
+        for job in (first, second):
+            _, status = _get(f"{server.url}/experiments/{job['job_id']}")
+            assert status["state"] == "done"
+        code, _ = _get(
+            f"{server.url}/experiments/{second['job_id']}/result", raw=True
+        )
+        assert code == 200
+        retries = _get(f"{server.url}/healthz")[1]["retries"]
+        assert retries["jobs_by_state"] == {"done": 2}
+
+    def test_unissued_ids_are_404(self, server):
+        _, job = _post(f"{server.url}/experiments", _SPEC.to_dict())
+        _poll_done(server, job["job_id"])
+        for ghost in ("job-000002", "job-1", "job-../../x"):
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                _get(f"{server.url}/experiments/{ghost}")
+            assert caught.value.code == 404
+
 
 class TestNoisyService:
     """Noisy specs flow through the HTTP service with distinct cache keys."""

@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+from repro.core.spec import ExperimentSpec
+from repro.core.variance import VarianceConfig
 from repro.service import ResultStore
 
 
@@ -126,3 +128,66 @@ class TestStats:
         assert stats["total_bytes"] > 0
         assert stats["shards"] == 1
         assert stats["quarantined"] == 0
+
+
+def _scan_bytes(root):
+    return sum(
+        path.stat().st_size
+        for tier in ("results", "shards")
+        for path in (root / tier).glob("*.json")
+    )
+
+
+class TestIndexLog:
+    def test_put_appends_instead_of_rewriting_the_index(self, tmp_path):
+        store = ResultStore(tmp_path)
+        _put(store, "ab0")
+        store.total_bytes()  # fold: index.json written, log consumed
+        index = (tmp_path / "index.json").read_bytes()
+        assert not (tmp_path / "index.log").exists()
+        path = _put(store, "ab1")
+        assert (tmp_path / "index.json").read_bytes() == index
+        log = (tmp_path / "index.log").read_text().splitlines()
+        assert log == [f"{path.stat().st_size} shards/{path.name}"]
+
+    def test_total_bytes_matches_scan_across_two_instances(self, tmp_path):
+        first = ResultStore(tmp_path)
+        second = ResultStore(tmp_path)
+
+        def check():
+            expected = _scan_bytes(tmp_path)
+            assert first.total_bytes() == expected
+            assert second.total_bytes() == expected
+
+        for i in range(3):
+            _put(first, f"cd{i}", payload_size=10 * i)
+            _put(second, f"ce{i}", payload_size=7 * i)
+        spec = ExperimentSpec(
+            kind="variance",
+            config=VarianceConfig(qubit_counts=(2, 3), num_circuits=2),
+        )
+        second.put_result("cf0", spec)  # any persistable type
+        check()
+        # A re-put of the same key with a new size replaces its entry.
+        _put(first, "ce1", payload_size=500)
+        check()
+        # Forget: a corrupt shard is quarantined by the other instance.
+        first.shard_path("cd1").write_text("{ truncated")
+        with pytest.warns(RuntimeWarning, match="quarantined corrupt"):
+            assert second.get_shard("cd1") == (False, None)
+        check()
+        _age(first.shard_path("cd0"), 3600)
+        first.gc(max_age=60.0)
+        _put(second, "cg0")
+        check()
+        second.gc(max_bytes=_scan_bytes(tmp_path) // 2)
+        check()
+
+    def test_unreadable_log_line_rebuilds_from_scan(self, tmp_path):
+        store = ResultStore(tmp_path)
+        _put(store, "da0")
+        store.total_bytes()
+        _put(store, "da1")
+        with open(tmp_path / "index.log", "a") as log:
+            log.write("12")  # a writer died mid-line
+        assert store.total_bytes() == _scan_bytes(tmp_path)
