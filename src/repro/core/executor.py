@@ -2,7 +2,7 @@
 
 An :class:`Executor` schedules a list of :class:`WorkUnit` items — picklable
 ``(id, function, args)`` triples produced by the spec layer — and returns
-their outputs in unit order.  Three registered strategies cover the
+their outputs in unit order.  The registered strategies cover the
 library's workloads:
 
 ``serial``
@@ -35,13 +35,9 @@ library's workloads:
     units are shape-bucket slices here too: each worker mega-folds its
     own slice of the bucket, and slicing is invisible to results.
 ``async``
-    Like ``process_pool``, but scheduled on an :mod:`asyncio` loop and
-    built for *incremental* consumption: completions stream out the
-    moment each unit's future resolves (``map_units``'s ``on_result``,
-    the :meth:`AsyncExecutor.stream_units` generator, or the native
-    ``async`` :meth:`AsyncExecutor.amap_units`) instead of only becoming
-    visible when the whole grid finishes.  The backbone of the
-    ``repro serve`` job queue's per-shard progress reporting.
+    ``process_pool`` under its streaming-era name, from when only this
+    executor streamed.  It stays registered so stored specs,
+    ``--executor async`` and failure reports that name it keep working.
 ``remote``
     Distributes units to pull-based worker *processes on other hosts*
     through the lease/heartbeat/result protocol of
@@ -54,6 +50,11 @@ library's workloads:
     budget as every other failure; because units carry pre-reserved RNG
     children and results are keyed by content fingerprint, recovered
     multi-host runs stay byte-identical to single-host ones.
+
+Every executor streams: :meth:`Executor.stream_units` is the one run
+loop, yielding each ``(unit, output)`` the moment it completes, and
+:meth:`Executor.map_units` (with its per-completion ``on_result``) and
+the ``async`` :meth:`Executor.amap_units` are views over it.
 
 All executors support checkpoint/resume: given a ``checkpoint_dir``, each
 completed unit's output is persisted through :mod:`repro.io` as a
@@ -84,7 +85,7 @@ backs ``repro info`` and the CLI's ``--workers`` routing.
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
 import itertools
 import os
 import subprocess
@@ -140,14 +141,8 @@ __all__ = [
     "available_executors",
 ]
 
-#: How often pool-draining loops wake up to poll ``should_abort``.
+#: Longest a pool-draining loop waits between ``should_abort`` polls.
 _ABORT_POLL_SECONDS = 0.25
-
-
-def _swallow_task_exception(task) -> None:
-    """Mark an abandoned future's exception as retrieved (see _astream)."""
-    if not task.cancelled():
-        task.exception()
 
 
 @dataclass(frozen=True)
@@ -552,6 +547,45 @@ class Executor(ABC):
         ``unit_keys`` maps unit ids to content fingerprints used for
         backoff-jitter keys and quarantine records.
         """
+        outputs: Dict[str, Any] = {}
+        with contextlib.closing(
+            self.stream_units(
+                units,
+                fingerprint,
+                verbose=verbose,
+                on_event=on_event,
+                raise_on_failure=raise_on_failure,
+                should_abort=should_abort,
+                unit_keys=unit_keys,
+            )
+        ) as stream:
+            for unit, output in stream:
+                outputs[unit.unit_id] = output
+                if on_result is not None:
+                    on_result(unit, output)
+        return [outputs.get(unit.unit_id) for unit in units]
+
+    def stream_units(
+        self,
+        units: Sequence[WorkUnit],
+        fingerprint: str = "",
+        *,
+        verbose: bool = False,
+        on_event: Optional[Callable[[str, dict], None]] = None,
+        raise_on_failure: bool = True,
+        should_abort: Optional[Callable[[], bool]] = None,
+        unit_keys: Optional[Mapping[str, str]] = None,
+    ) -> Iterator[Tuple[WorkUnit, Any]]:
+        """Yield ``(unit, output)`` pairs as they complete (blocking).
+
+        Checkpoint-aware like :meth:`map_units`: already-checkpointed
+        units are yielded first (in unit order), fresh completions are
+        checkpointed before being yielded.  Completion order of fresh
+        units is nondeterministic; outputs are not.  Quarantined units
+        (``raise_on_failure=False``) are simply not yielded; the
+        reliability keywords match :meth:`map_units`.  Closing the
+        generator early stops the run and cancels units not yet started.
+        """
         ids = [unit.unit_id for unit in units]
         if len(set(ids)) != len(ids):
             raise ValueError("work unit ids must be unique")
@@ -565,19 +599,57 @@ class Executor(ABC):
                     f"[executor:{self.name}] resuming: "
                     f"{len(completed)}/{len(units)} units checkpointed"
                 )
-            if on_result is not None:
-                for unit in units:
-                    if unit.unit_id in completed:
-                        on_result(unit, completed[unit.unit_id])
+            for unit in units:
+                if unit.unit_id in completed:
+                    yield unit, completed[unit.unit_id]
             pending = [unit for unit in units if unit.unit_id not in completed]
             for unit, output in self._execute(pending):
-                completed[unit.unit_id] = output
                 self._write_checkpoint(unit, output, fingerprint)
-                if on_result is not None:
-                    on_result(unit, output)
-            return [completed.get(unit.unit_id) for unit in units]
+                yield unit, output
         finally:
             self._finish_run()
+
+    async def amap_units(
+        self,
+        units: Sequence[WorkUnit],
+        fingerprint: str = "",
+        on_result: Optional[Callable[[WorkUnit, Any], None]] = None,
+        *,
+        on_event: Optional[Callable[[str, dict], None]] = None,
+        raise_on_failure: bool = True,
+        should_abort: Optional[Callable[[], bool]] = None,
+        unit_keys: Optional[Mapping[str, str]] = None,
+    ) -> List[Any]:
+        """``async`` :meth:`map_units`: same ordering contract and keywords.
+
+        Runs :meth:`map_units` on a worker thread, so the caller's event
+        loop stays free between completions; ``on_result`` and
+        ``on_event`` therefore fire on that worker thread.  The run's
+        :attr:`last_report` is copied to the calling thread.
+        """
+        import asyncio
+
+        reports: List[Optional[FailureReport]] = []
+
+        def run() -> List[Any]:
+            try:
+                return self.map_units(
+                    units,
+                    fingerprint,
+                    on_result=on_result,
+                    on_event=on_event,
+                    raise_on_failure=raise_on_failure,
+                    should_abort=should_abort,
+                    unit_keys=unit_keys,
+                )
+            finally:
+                reports.append(self.last_report)
+
+        try:
+            return await asyncio.to_thread(run)
+        finally:
+            if reports:
+                self._local.report = reports[0]
 
     @abstractmethod
     def _execute(
@@ -587,6 +659,15 @@ class Executor(ABC):
 
         Quarantined units (non-raise mode) are simply not yielded.
         """
+
+    def _execute_inline(
+        self, units: Sequence[WorkUnit]
+    ) -> Iterator[Tuple[WorkUnit, Any]]:
+        """Run ``units`` one after another in this process."""
+        for unit in units:
+            ok, output = self._attempt_unit(unit)
+            if ok:
+                yield unit, output
 
     # -- checkpoint layer -------------------------------------------------
 
@@ -676,10 +757,7 @@ class SerialExecutor(Executor):
     def _execute(
         self, units: Sequence[WorkUnit]
     ) -> Iterator[Tuple[WorkUnit, Any]]:
-        for unit in units:
-            ok, output = self._attempt_unit(unit)
-            if ok:
-                yield unit, output
+        return self._execute_inline(units)
 
 
 @register_executor
@@ -766,21 +844,14 @@ class ProcessPoolExecutor(Executor):
     def _execute(
         self, units: Sequence[WorkUnit]
     ) -> Iterator[Tuple[WorkUnit, Any]]:
-        if not units:
-            return
         if self.workers == 1:
             # No parallelism to win; skip the fork + pickle overhead.
-            for unit in units:
-                ok, output = self._attempt_unit(unit)
-                if ok:
-                    yield unit, output
+            yield from self._execute_inline(units)
             return
         pending: Dict[str, WorkUnit] = {unit.unit_id: unit for unit in units}
         while pending:
             try:
-                for unit, output in self._drain_pool(pending):
-                    yield unit, output
-                return
+                yield from self._drain_pool(pending)
             except _PoolBroken as broken:
                 self._note_pool_breakage(pending, broken)
 
@@ -791,12 +862,17 @@ class ProcessPoolExecutor(Executor):
 
         Removes each finished (or quarantined) unit from ``pending`` and
         yields successes; raises :class:`_PoolBroken` when the pool dies
-        so the caller can charge the crash and rebuild.
+        so the caller can charge the crash and rebuild.  ``should_abort``
+        is polled once per wake, after that wake's completions were
+        yielded, so finished work is kept.  However the drain ends
+        (abort, raised failure, closed generator), units not yet started
+        are cancelled instead of run.
         """
         ctx = self._run
-        with futures.ProcessPoolExecutor(
+        pool = futures.ProcessPoolExecutor(
             max_workers=min(self.workers, len(pending))
-        ) as pool:
+        )
+        try:
             running: Dict[futures.Future, Tuple[WorkUnit, int]] = {}
 
             def submit(unit: WorkUnit) -> None:
@@ -827,9 +903,6 @@ class ProcessPoolExecutor(Executor):
                     timeout=_ABORT_POLL_SECONDS,
                     return_when=futures.FIRST_COMPLETED,
                 )
-                if not done:
-                    self._abort_check()
-                    continue
                 broken: Optional[BaseException] = None
                 broken_units: Dict[str, int] = {}
                 resubmit: List[Tuple[WorkUnit, int]] = []
@@ -852,6 +925,7 @@ class ProcessPoolExecutor(Executor):
                         resubmit.append((unit, attempt))
                     else:
                         del pending[unit.unit_id]
+                self._abort_check()
                 if broken is not None:
                     # A break resolves every in-flight future at once:
                     # the broken-errored ones were in flight too.
@@ -863,252 +937,19 @@ class ProcessPoolExecutor(Executor):
                     if delay > 0:
                         time.sleep(delay)
                     submit(unit)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 @register_executor
-class AsyncExecutor(Executor):
-    """Asyncio-scheduled process-pool executor that streams completions.
+class AsyncExecutor(ProcessPoolExecutor):
+    """``process_pool`` under its streaming-era name.
 
-    The first executor whose *public contract* is incremental progress:
-    work units run on a :class:`concurrent.futures.ProcessPoolExecutor`
-    driven by an :mod:`asyncio` loop, and every completion is surfaced
-    the moment its future resolves —
-
-    * :meth:`map_units` (inherited) invokes ``on_result`` per completion
-      in completion order, not at the end of the grid;
-    * :meth:`stream_units` is a synchronous generator over
-      ``(unit, output)`` pairs, checkpoint-aware;
-    * :meth:`amap_units` is the native ``async`` API for callers that
-      already run an event loop (the ``repro serve`` job queue).
-
-    Outputs and checkpoints are bit-identical to every other executor:
-    units carry pre-reserved RNG children, so completion order is
-    presentation, not semantics.  Like ``process_pool``, unit functions
-    and arguments must be picklable, worker crashes rebuild the pool and
-    re-dispatch unfinished units, and the retry policy applies per unit;
-    ``workers=0`` means one worker per CPU core, and single-worker
-    instances run units in-process (no fork or pickle overhead) while
-    still streaming each completion.
+    Kept so stored specs, ``--executor async`` and failure reports that
+    name it keep working.
     """
 
     name = "async"
-    variance_batched: ClassVar[Optional[bool]] = None
-
-    def __init__(
-        self,
-        workers: int = 0,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
-        retry: Any = None,
-        fault_plan: Any = None,
-    ):
-        super().__init__(
-            workers=int(workers) or os.cpu_count() or 1,
-            checkpoint_dir=checkpoint_dir,
-            retry=retry,
-            fault_plan=fault_plan,
-        )
-
-    def circuits_per_shard(self, num_circuits: int) -> Optional[int]:
-        # Same policy as process_pool: ~2 shards per worker per qubit
-        # count — and fine-grained shards are what makes the streamed
-        # progress counts meaningful.
-        return max(1, -(-num_circuits // (2 * self.workers)))
-
-    async def _astream(
-        self, units: Sequence[WorkUnit], loop: asyncio.AbstractEventLoop
-    ):
-        """Async generator of ``(unit, output)`` in completion order."""
-        ctx = self._run
-        if self.workers == 1 or len(units) <= 1:
-            # Nothing to overlap: run in-process, still yielding each
-            # completion as it happens.
-            for unit in units:
-                ok, output = self._attempt_unit(unit)
-                if ok:
-                    yield unit, output
-            return
-        pending: Dict[str, WorkUnit] = {unit.unit_id: unit for unit in units}
-        while pending:
-            pool = futures.ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending))
-            )
-            running: Dict[Any, Tuple[WorkUnit, int]] = {}
-            try:
-
-                def submit(unit: WorkUnit) -> None:
-                    attempt = ctx.attempts.get(unit.unit_id, 0) + 1
-                    ctx.unit_started.setdefault(unit.unit_id, time.monotonic())
-                    payload = self._fault_payload(unit.unit_id)
-                    try:
-                        if payload is None:
-                            task = loop.run_in_executor(
-                                pool, unit.fn, *unit.args
-                            )
-                        else:
-                            task = loop.run_in_executor(
-                                pool,
-                                call_with_faults,
-                                payload,
-                                attempt,
-                                True,
-                                unit.fn,
-                                unit.args,
-                            )
-                    except BrokenProcessPool as error:
-                        raise _PoolBroken(
-                            error, self._inflight(running)
-                        ) from None
-                    running[task] = (unit, attempt)
-
-                for unit in list(pending.values()):
-                    submit(unit)
-                while running:
-                    done, _ = await asyncio.wait(
-                        set(running),
-                        timeout=_ABORT_POLL_SECONDS,
-                        return_when=asyncio.FIRST_COMPLETED,
-                    )
-                    if not done:
-                        self._abort_check()
-                        continue
-                    broken: Optional[BaseException] = None
-                    broken_units: Dict[str, int] = {}
-                    resubmit: List[Tuple[WorkUnit, int]] = []
-                    for task in done:
-                        unit, attempt = running.pop(task)
-                        error = task.exception()
-                        if error is None:
-                            ctx.attempts[unit.unit_id] = attempt
-                            del pending[unit.unit_id]
-                            yield unit, task.result()
-                            continue
-                        if isinstance(error, BrokenProcessPool):
-                            broken = error
-                            broken_units[unit.unit_id] = attempt
-                            continue
-                        ctx.attempts[unit.unit_id] = attempt
-                        if self._after_failure(unit, error, attempt) == "retry":
-                            resubmit.append((unit, attempt))
-                        else:
-                            del pending[unit.unit_id]
-                    if broken is not None:
-                        raise _PoolBroken(
-                            broken, {**self._inflight(running), **broken_units}
-                        )
-                    for unit, attempt in resubmit:
-                        delay = ctx.policy.delay(
-                            attempt, self._unit_key(unit.unit_id)
-                        )
-                        if delay > 0:
-                            await asyncio.sleep(delay)
-                        submit(unit)
-            except _PoolBroken as broken_escape:
-                self._note_pool_breakage(pending, broken_escape)
-            finally:
-                # Tasks abandoned at pool breakage would otherwise log
-                # "exception was never retrieved" at garbage collection.
-                for task in running:
-                    task.add_done_callback(_swallow_task_exception)
-                pool.shutdown(wait=True, cancel_futures=True)
-
-    def _execute(
-        self, units: Sequence[WorkUnit]
-    ) -> Iterator[Tuple[WorkUnit, Any]]:
-        if not units:
-            return
-        loop = asyncio.new_event_loop()
-        agen = self._astream(list(units), loop)
-        try:
-            while True:
-                try:
-                    yield loop.run_until_complete(agen.__anext__())
-                except StopAsyncIteration:
-                    break
-        finally:
-            # Close the async generator first so its pool context manager
-            # exits (shutting workers down) before the loop goes away.
-            try:
-                loop.run_until_complete(agen.aclose())
-            finally:
-                loop.close()
-
-    def stream_units(
-        self,
-        units: Sequence[WorkUnit],
-        fingerprint: str = "",
-        *,
-        on_event: Optional[Callable[[str, dict], None]] = None,
-        raise_on_failure: bool = True,
-        should_abort: Optional[Callable[[], bool]] = None,
-        unit_keys: Optional[Mapping[str, str]] = None,
-    ) -> Iterator[Tuple[WorkUnit, Any]]:
-        """Yield ``(unit, output)`` pairs as they complete (blocking).
-
-        Checkpoint-aware like :meth:`map_units`: already-checkpointed
-        units are yielded first (in unit order), fresh completions are
-        checkpointed before being yielded.  Completion order of fresh
-        units is nondeterministic; outputs are not.  Quarantined units
-        (``raise_on_failure=False``) are simply not yielded; the
-        reliability keywords match :meth:`map_units`.
-        """
-        ids = [unit.unit_id for unit in units]
-        if len(set(ids)) != len(ids):
-            raise ValueError("work unit ids must be unique")
-        self._begin_run(
-            units, fingerprint, on_event, raise_on_failure, should_abort, unit_keys
-        )
-        try:
-            completed = self._load_checkpoints(set(ids), fingerprint)
-            for unit in units:
-                if unit.unit_id in completed:
-                    yield unit, completed[unit.unit_id]
-            pending = [unit for unit in units if unit.unit_id not in completed]
-            for unit, output in self._execute(pending):
-                self._write_checkpoint(unit, output, fingerprint)
-                yield unit, output
-        finally:
-            self._finish_run()
-
-    async def amap_units(
-        self,
-        units: Sequence[WorkUnit],
-        fingerprint: str = "",
-        on_result: Optional[Callable[[WorkUnit, Any], None]] = None,
-        *,
-        on_event: Optional[Callable[[str, dict], None]] = None,
-        raise_on_failure: bool = True,
-        should_abort: Optional[Callable[[], bool]] = None,
-        unit_keys: Optional[Mapping[str, str]] = None,
-    ) -> List[Any]:
-        """Native ``async`` :meth:`map_units`: same ordering contract.
-
-        Runs on the caller's event loop; ``on_result`` fires per
-        completion (checkpoint-loaded units first, then fresh ones as
-        they land) without blocking the loop between completions.  The
-        reliability keywords match :meth:`map_units`.
-        """
-        ids = [unit.unit_id for unit in units]
-        if len(set(ids)) != len(ids):
-            raise ValueError("work unit ids must be unique")
-        self._begin_run(
-            units, fingerprint, on_event, raise_on_failure, should_abort, unit_keys
-        )
-        try:
-            completed = self._load_checkpoints(set(ids), fingerprint)
-            if on_result is not None:
-                for unit in units:
-                    if unit.unit_id in completed:
-                        on_result(unit, completed[unit.unit_id])
-            pending = [unit for unit in units if unit.unit_id not in completed]
-            loop = asyncio.get_running_loop()
-            async for unit, output in self._astream(pending, loop):
-                completed[unit.unit_id] = output
-                self._write_checkpoint(unit, output, fingerprint)
-                if on_result is not None:
-                    on_result(unit, output)
-            return [completed.get(unit.unit_id) for unit in units]
-        finally:
-            self._finish_run()
 
 
 #: Monotonic source of standalone remote-run job keys (os.getpid() is

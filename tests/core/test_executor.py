@@ -1,5 +1,8 @@
 """Unit tests for the executor registry, sharding, and checkpoint/resume."""
 
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from repro.core.variance import (
     plan_variance_shards,
     run_variance_shard,
 )
+from repro.reliability import ExecutionAborted
 
 _CONFIG = VarianceConfig(
     qubit_counts=(2, 3),
@@ -32,8 +36,27 @@ _CONFIG = VarianceConfig(
 )
 
 
+#: Every executor streams through the one run loop; ``process_pool`` and
+#: ``async`` run in-process at ``workers=1``, so closures are fine here.
+_STREAMING_EXECUTORS = ("serial", "process_pool", "async")
+
+
 def _double(x):
     return {"value": 2 * x}
+
+
+def _sleep_then_return(x, seconds):
+    time.sleep(seconds)
+    return {"value": x}
+
+
+def _mark_then_sleep(x, seconds, marker_dir):
+    """Leave a marker file when the unit starts; unit 0 fails at once."""
+    (Path(marker_dir) / f"started-{x}").touch()
+    if x == 0:
+        raise ValueError("unit 0 always fails")
+    time.sleep(seconds)
+    return {"value": x}
 
 
 class TestRegistry:
@@ -443,7 +466,8 @@ class TestAsyncExecutor:
                 streamed.result.samples[key].gradients,
             ), key
 
-    def test_streams_results_before_completion(self):
+    @pytest.mark.parametrize("name", _STREAMING_EXECUTORS)
+    def test_streams_results_before_completion(self, name):
         """Each completion surfaces before later units even execute."""
         calls = []
 
@@ -452,7 +476,7 @@ class TestAsyncExecutor:
             return {"value": x}
 
         units = [WorkUnit(f"u{i}", tracked, (i,)) for i in range(3)]
-        stream = get_executor("async", workers=1).stream_units(units)
+        stream = get_executor(name, workers=1).stream_units(units)
         unit, output = next(stream)
         assert output == {"value": 0}
         assert calls == [0]  # units 1 and 2 have not run yet
@@ -460,16 +484,18 @@ class TestAsyncExecutor:
         assert calls == [0, 1, 2]
         assert [o["value"] for _, o in rest] == [1, 2]
 
-    def test_on_result_fires_per_completion(self):
+    @pytest.mark.parametrize("name", _STREAMING_EXECUTORS)
+    def test_on_result_fires_per_completion(self, name):
         events = []
         units = [WorkUnit(f"u{i}", _double, (i,)) for i in range(4)]
-        outputs = get_executor("async", workers=1).map_units(
+        outputs = get_executor(name, workers=1).map_units(
             units, on_result=lambda unit, output: events.append(unit.unit_id)
         )
         assert events == [f"u{i}" for i in range(4)]
         assert [o["value"] for o in outputs] == [0, 2, 4, 6]
 
-    def test_checkpoint_resume(self, tmp_path):
+    @pytest.mark.parametrize("name", _STREAMING_EXECUTORS)
+    def test_checkpoint_resume(self, tmp_path, name):
         calls = []
 
         def tracked(x):
@@ -477,11 +503,11 @@ class TestAsyncExecutor:
             return {"value": x}
 
         units = [WorkUnit(f"u{i}", tracked, (i,)) for i in range(3)]
-        first = get_executor("async", workers=1, checkpoint_dir=tmp_path).map_units(
+        first = get_executor(name, workers=1, checkpoint_dir=tmp_path).map_units(
             units, fingerprint="fp"
         )
         assert calls == [0, 1, 2]
-        second = get_executor("async", workers=1, checkpoint_dir=tmp_path).map_units(
+        second = get_executor(name, workers=1, checkpoint_dir=tmp_path).map_units(
             units, fingerprint="fp"
         )
         assert calls == [0, 1, 2]  # nothing re-executed
@@ -502,3 +528,41 @@ class TestAsyncExecutor:
         outputs = asyncio.run(drive())
         assert [o["value"] for o in outputs] == [0, 2, 4]
         assert sorted(events) == ["u0", "u1", "u2"]
+
+    def test_amap_units_reports_to_calling_thread(self):
+        import asyncio
+
+        executor = get_executor("async", workers=1)
+        units = [WorkUnit("u0", _double, (1,))]
+        asyncio.run(executor.amap_units(units, fingerprint="fp"))
+        assert executor.last_report is not None
+        assert executor.last_report.fingerprint == "fp"
+        assert executor.last_report.executor == "async"
+
+
+class TestPoolStopsEarly:
+    """A pool run that stops early keeps finished work and skips the rest."""
+
+    def test_abort_seen_while_units_keep_completing(self):
+        # Every unit finishes well inside the abort poll interval, so a
+        # driver that polls only on an idle wait never sees the abort.
+        units = [
+            WorkUnit(f"u{i}", _sleep_then_return, (i, 0.06)) for i in range(60)
+        ]
+        seen = []
+        with pytest.raises(ExecutionAborted):
+            ProcessPoolExecutor(workers=2).map_units(
+                units,
+                on_result=lambda unit, output: seen.append(unit.unit_id),
+                should_abort=lambda: len(seen) >= 2,
+            )
+        assert 2 <= len(seen) < 30
+
+    def test_raised_failure_cancels_queued_units(self, tmp_path):
+        units = [
+            WorkUnit(f"u{i}", _mark_then_sleep, (i, 0.2, str(tmp_path)))
+            for i in range(16)
+        ]
+        with pytest.raises(ValueError, match="unit 0 always fails"):
+            ProcessPoolExecutor(workers=2, retry=1).map_units(units)
+        assert len(list(tmp_path.glob("started-*"))) < len(units) // 2

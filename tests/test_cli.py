@@ -1,5 +1,10 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -26,6 +31,24 @@ class TestParser:
         assert args.layers == 5
         assert args.iterations == 50
         assert args.learning_rate == pytest.approx(0.1)
+
+
+class TestImportCost:
+    def test_importing_cli_leaves_asyncio_unloaded(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.cli; print('asyncio' in sys.modules)",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert probe.stdout.strip() == "False"
 
 
 class TestInfo:
