@@ -99,6 +99,9 @@ class QuantumCircuit:
         # operations; see static_matrices().
         self._static_matrices: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] = None
         self._static_matrices_key: Optional[Tuple[Operation, ...]] = None
+        # (operations, plan) of the cached one-circuit MegaBatchPlan,
+        # invalidated like static_matrices(); see MegaBatchPlan.of().
+        self._megabatch_plan = None
 
     # ------------------------------------------------------------------
     # construction

@@ -21,16 +21,21 @@ Three interchangeable engines compute ``d <O> / d params``:
     training iteration — rebuild only the trainable matrices.
 
 ``batch_adjoint``
-    The adjoint sweep over a ``(B, 2**n)`` statevector stack: one
-    :meth:`StatevectorSimulator.run_batch` forward pass, then a single
-    backward sweep applying per-row adjoint/derivative stacks
+    The adjoint sweep over a ``(B, 2**n)`` statevector stack, as a
+    one-circuit call of the stacked adjoint engine: one
+    :meth:`StatevectorSimulator.run_megabatch` forward pass on the
+    circuit's cached one-circuit :class:`~repro.backend.simulator.MegaBatchPlan`,
+    then a single backward sweep applying per-row adjoint/derivative stacks
     (:meth:`ParametricGate.matrix_batch` / ``derivative_batch``) through
-    the broadcasting kernels.  Row ``b`` is bit-identical to
-    ``adjoint_gradient(..., params[b])``; throughput is what changes —
-    this engine powers lock-step multi-trajectory training.
-    :func:`adjoint_value_and_gradient` / :func:`batch_adjoint_value_and_gradient`
-    additionally return the expectation read off the same forward pass, so
-    training loops get loss and full gradient from one execution.
+    the broadcasting kernels.  Row ``b`` equals
+    ``adjoint_gradient(..., params[b])`` (``np.array_equal``); throughput
+    is what changes — this engine powers lock-step multi-trajectory
+    training.  :func:`adjoint_value_and_gradient` /
+    :func:`batch_adjoint_value_and_gradient` additionally return the
+    expectation read off the same forward pass, so training loops get loss
+    and full gradient from one execution.  The adjoint family needs a
+    :class:`StatevectorSimulator`; noisy simulators differentiate with the
+    shift rule.
 
 ``finite_difference``
     Numerical fallback that works for any gate; used mainly to cross-check
@@ -58,9 +63,14 @@ Three interchangeable engines compute ``d <O> / d params``:
     parameter slots, different drawn gates — see
     :class:`repro.backend.simulator.MegaBatchPlan`) into single stacked
     sweeps, pushing the effective batch size into the hundreds.  Each
-    circuit's rows remain bit-identical to its own
-    ``batch_parameter_shift`` / ``batch_adjoint`` call; these power the
-    variance experiment's shape-keyed fold.
+    circuit's rows remain equal to its own ``batch_parameter_shift`` /
+    ``batch_adjoint`` call; these power the variance experiment's
+    shape-keyed fold.  ``megabatch_adjoint_gradient`` and the
+    ``batch_adjoint`` engines are one stacked adjoint sweep
+    (:func:`_stacked_adjoint_sweep`); the batched shift engines keep a
+    simulator-generic core (:func:`_batch_shift_execute`) because the
+    noisy :class:`~repro.backend.ptm.PauliTransferSimulator` runs them
+    too, and it has no plans.
 """
 
 from __future__ import annotations
@@ -355,14 +365,7 @@ def batch_parameter_shift(
         If a differentiated gate carries no exact shift rule.
     """
     simulator = simulator or StatevectorSimulator()
-    array = np.asarray(params, dtype=FLOAT_DTYPE)
-    if array.ndim not in (1, 2):
-        raise ValueError(
-            f"params must be 1-D or 2-D (batch, num_parameters), "
-            f"got shape {array.shape}"
-        )
-    single = array.ndim == 1
-    batch = array.reshape(1, -1) if single else array
+    batch, single = _coerce_batch(circuit, params)
     indices = _resolve_indices(circuit, param_indices)
     rules = _resolve_shift_rules(circuit, indices)
     if not indices:
@@ -689,7 +692,7 @@ def adjoint_gradient(
     *before* the gate and ``<lambda|`` carries the observable back through
     the tail of the circuit.  Exact for any gate exposing ``derivative``.
     """
-    simulator = simulator or StatevectorSimulator()
+    simulator = _adjoint_simulator(simulator)
     params = np.asarray(params, dtype=FLOAT_DTYPE).reshape(-1)
     indices = _resolve_indices(circuit, param_indices)
     _, grads = _adjoint_sweep(
@@ -713,7 +716,7 @@ def adjoint_value_and_gradient(
     exactly the same bits as ``simulator.expectation(circuit, observable,
     params)``, and the gradient matches :func:`adjoint_gradient`.
     """
-    simulator = simulator or StatevectorSimulator()
+    simulator = _adjoint_simulator(simulator)
     params = np.asarray(params, dtype=FLOAT_DTYPE).reshape(-1)
     indices = _resolve_indices(circuit, param_indices)
     value, grads = _adjoint_sweep(
@@ -723,200 +726,50 @@ def adjoint_value_and_gradient(
     return value, grads
 
 
-def _batch_adjoint_sweep(
-    circuit: QuantumCircuit,
+def _adjoint_simulator(simulator) -> StatevectorSimulator:
+    """``simulator`` (or a fresh one), which must carry amplitudes."""
+    if simulator is None:
+        return StatevectorSimulator()
+    if not isinstance(simulator, StatevectorSimulator):
+        raise TypeError(
+            "adjoint differentiation needs a StatevectorSimulator, got "
+            f"{type(simulator).__name__}; use parameter_shift (or "
+            "batch_parameter_shift) for other simulators"
+        )
+    return simulator
+
+
+def _stacked_adjoint_sweep(
+    plan: MegaBatchPlan,
     observable: Observable,
     batch: np.ndarray,
+    rows: np.ndarray,
     simulator: StatevectorSimulator,
     indices: Sequence[int],
     initial_state: Optional[Statevector],
     want_values: bool,
 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """Adjoint forward pass + backward sweep over a ``(B, 2**n)`` stack.
+    """The one stacked adjoint engine: row ``b`` differentiates circuit
+    ``plan.circuits[rows[b]]`` at ``batch[b]``.
 
-    Per row the arithmetic mirrors :func:`_adjoint_sweep` through the
-    broadcasting kernels, so results are bit-identical to ``B`` sequential
-    sweeps; on the numpy backend the final inner products stay per-row
-    ``vdot`` calls for the same reason.  On a non-numpy backend the whole
-    sweep — forward pass, both adjoint trails, and the gradient
-    reductions — runs on-namespace; only the ``(B,)`` gradient entries
-    cross back per differentiated parameter.
+    One :meth:`StatevectorSimulator.run_megabatch` forward pass, then a
+    single backward sweep: each trainable slot applies one per-row adjoint
+    and one per-row derivative stack (:meth:`MegaBatchPlan.slot_matrices`;
+    for a one-gate slot exactly ``matrix_batch``/``derivative_batch``) to
+    the whole ``psi``/``lam`` stacks, fixed operations their cached static
+    adjoint.  Per row the arithmetic mirrors :func:`_adjoint_sweep` (on
+    numpy the inner products stay per-row ``vdot`` calls), so rows equal
+    sequential sweeps.  On a non-numpy backend the whole sweep runs
+    on-namespace; only the ``(B,)`` gradient entries cross back per
+    differentiated parameter.
     """
-    num_qubits = circuit.num_qubits
-    static = circuit.static_matrices()
-    b = simulator.backend
-    device = not b.is_numpy
-
-    # Forward pass: one batched execution for all rows, left resident on
-    # the simulator's array backend.
-    psi = simulator._run_batch_data(circuit, batch, initial_state)
-    values = observable.expectation_batch(psi) if want_values else None
-    lam = observable.apply_batch(psi)
-    if device and type(lam) is np.ndarray:
-        # The observable fell back to its host implementation; stage the
-        # adjoint trail back onto the backend for the backward sweep.
-        lam = b.asarray(lam, dtype=b.complex_dtype)
-
-    grads = np.zeros((batch.shape[0], len(indices)), dtype=FLOAT_DTYPE)
-    slot_of = {index: slot for slot, index in enumerate(indices)}
-    for pos in range(len(circuit.operations) - 1, -1, -1):
-        op = circuit.operations[pos]
-        if op.is_trainable:
-            thetas = batch[:, op.param_index]
-            gate = op.gate
-            assert isinstance(gate, ParametricGate)
-            adjoint = gate.matrix_batch(thetas).conj().transpose(0, 2, 1)
-        else:
-            adjoint = static[pos][1]
-        # Undo this gate on every row: |psi_k> (states before the gate).
-        psi = apply_matrix(psi, adjoint, op.qubits, num_qubits, backend=b)
-        if op.is_trainable and op.param_index in slot_of:
-            d_matrices = gate.derivative_batch(thetas)
-            d_psi = apply_matrix(psi, d_matrices, op.qubits, num_qubits, backend=b)
-            if device:
-                grads[:, slot_of[op.param_index]] = 2.0 * np.real(
-                    b.to_numpy(b.sum(b.conj(lam) * d_psi, axis=1))
-                )
-            else:
-                grads[:, slot_of[op.param_index]] = [
-                    2.0 * float(np.real(np.vdot(l, d)))
-                    for l, d in zip(lam, d_psi)
-                ]
-        lam = apply_matrix(lam, adjoint, op.qubits, num_qubits, backend=b)
-    return values, grads
-
-
-def _coerce_batch(circuit: QuantumCircuit, params: Sequence[float]) -> Tuple[np.ndarray, bool]:
-    """Normalize 1-D/2-D ``params`` to ``(B, P)`` plus a was-single flag."""
-    array = np.asarray(params, dtype=FLOAT_DTYPE)
-    if array.ndim not in (1, 2):
-        raise ValueError(
-            f"params must be 1-D or 2-D (batch, num_parameters), "
-            f"got shape {array.shape}"
-        )
-    single = array.ndim == 1
-    return array.reshape(1, -1) if single else array, single
-
-
-def batch_adjoint_gradient(
-    circuit: QuantumCircuit,
-    observable: Observable,
-    params: Sequence[float],
-    simulator: Optional[StatevectorSimulator] = None,
-    param_indices: Optional[Sequence[int]] = None,
-    initial_state: Optional[Statevector] = None,
-) -> np.ndarray:
-    """Adjoint gradients for one or many parameter vectors in one sweep.
-
-    Parameters
-    ----------
-    circuit, observable:
-        The expectation function being differentiated.
-    params:
-        One parameter vector (shape ``(P,)``) or a stack of ``B`` vectors
-        (shape ``(B, P)``) sharing the circuit — e.g. one trajectory per
-        initialization method in lock-step training.
-    simulator:
-        Reused if given, else a fresh one is created.
-    param_indices:
-        Subset of parameters to differentiate (default: all).
-    initial_state:
-        Optional non-default input state shared by every row.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``(len(param_indices),)`` for 1-D ``params``, else
-        ``(B, len(param_indices))``; row ``b`` bit-identical to
-        ``adjoint_gradient(circuit, observable, params[b], ...)``.
-    """
-    simulator = simulator or StatevectorSimulator()
-    batch, single = _coerce_batch(circuit, params)
-    indices = _resolve_indices(circuit, param_indices)
-    _, grads = _batch_adjoint_sweep(
-        circuit, observable, batch, simulator, indices, initial_state,
-        want_values=False,
-    )
-    return grads[0] if single else grads
-
-
-def batch_adjoint_value_and_gradient(
-    circuit: QuantumCircuit,
-    observable: Observable,
-    params: Sequence[float],
-    simulator: Optional[StatevectorSimulator] = None,
-    param_indices: Optional[Sequence[int]] = None,
-    initial_state: Optional[Statevector] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(<O> per row, gradients)`` from one batched adjoint pass.
-
-    Expectations are read off the shared forward pass — the batched
-    counterpart of :func:`adjoint_value_and_gradient`.  For 1-D ``params``
-    returns ``(float, (len(indices),))``, else ``((B,), (B, len(indices)))``.
-    """
-    simulator = simulator or StatevectorSimulator()
-    batch, single = _coerce_batch(circuit, params)
-    indices = _resolve_indices(circuit, param_indices)
-    values, grads = _batch_adjoint_sweep(
-        circuit, observable, batch, simulator, indices, initial_state,
-        want_values=True,
-    )
-    if single:
-        return float(values[0]), grads[0]
-    return values, grads
-
-
-def megabatch_adjoint_gradient(
-    circuits: Sequence[QuantumCircuit],
-    observable: Observable,
-    params_batches: Sequence[Sequence[float]],
-    simulator: Optional[StatevectorSimulator] = None,
-    param_indices: Optional[Sequence[int]] = None,
-    initial_state: Optional[Statevector] = None,
-    plan: Optional[MegaBatchPlan] = None,
-) -> "list[np.ndarray]":
-    """Adjoint gradients for a whole shape bucket in one stacked sweep.
-
-    The mega-batched form of :func:`batch_adjoint_gradient`: one
-    :meth:`StatevectorSimulator.run_megabatch` forward pass over every
-    circuit's rows, then a single backward sweep.  At each trainable slot
-    one per-row adjoint stack and one per-row derivative stack
-    (:meth:`MegaBatchPlan.slot_matrices`: each row holds its own
-    circuit's drawn gate) apply to the whole ``psi``/``lam`` stacks, with
-    no row gather or scatter; fixed operations use the plan template's
-    cached static adjoints on the whole stack.  Rows evolve independently, so
-    entry ``s`` is bit-identical to ``batch_adjoint_gradient(circuits[s],
-    observable, params_batches[s], ...)``.
-
-    Parameters
-    ----------
-    circuits, observable, params_batches, simulator, param_indices,
-    initial_state, plan:
-        As in :func:`megabatch_parameter_shift` (the adjoint engine has
-        no sampled mode).
-
-    Returns
-    -------
-    list of numpy.ndarray
-        One ``(M_s, len(param_indices))`` gradient block per circuit.
-    """
-    simulator = simulator or StatevectorSimulator()
-    batches = _coerce_mega_batches(circuits, params_batches)
-    plan = plan or MegaBatchPlan(circuits)
-    indices = _resolve_indices(plan.template, param_indices)
     num_qubits = plan.num_qubits
     static = plan.template.static_matrices()
     b = simulator.backend
     device = not b.is_numpy
 
-    batch = np.concatenate(batches, axis=0)
-    rows = np.concatenate(
-        [np.full(bt.shape[0], s, dtype=np.intp) for s, bt in enumerate(batches)]
-    )
-    # Forward pass: one mega-batched execution for all circuits' rows,
-    # left resident on the simulator's array backend; the backward sweep
-    # runs on-namespace end to end.
     psi = simulator._run_megabatch_data(plan, batch, rows, initial_state)
+    values = observable.expectation_batch(psi) if want_values else None
     lam = observable.apply_batch(psi)
     if device and type(lam) is np.ndarray:
         # The observable fell back to its host implementation; stage the
@@ -950,19 +803,155 @@ def megabatch_adjoint_gradient(
                     for l, d in zip(lam, d_psi)
                 ]
         lam = apply_matrix(lam, adjoint, op.qubits, num_qubits, backend=b)
+    return values, grads
 
+
+def _coerce_batch(circuit: QuantumCircuit, params: Sequence[float]) -> Tuple[np.ndarray, bool]:
+    """Normalize 1-D/2-D ``params`` to ``(B, P)`` plus a was-single flag."""
+    array = np.asarray(params, dtype=FLOAT_DTYPE)
+    if array.ndim not in (1, 2):
+        raise ValueError(
+            f"params must be 1-D or 2-D (batch, num_parameters), "
+            f"got shape {array.shape}"
+        )
+    single = array.ndim == 1
+    return array.reshape(1, -1) if single else array, single
+
+
+def _batch_adjoint(
+    circuit, observable, params, simulator, param_indices, initial_state,
+    want_values,
+):
+    """The batched adjoint engines: a one-circuit stacked sweep."""
+    simulator = _adjoint_simulator(simulator)
+    batch, single = _coerce_batch(circuit, params)
+    indices = _resolve_indices(circuit, param_indices)
+    values, grads = _stacked_adjoint_sweep(
+        MegaBatchPlan.of(circuit), observable, batch,
+        np.zeros(batch.shape[0], dtype=np.intp), simulator, indices,
+        initial_state, want_values,
+    )
+    return values, grads, single
+
+
+def batch_adjoint_gradient(
+    circuit: QuantumCircuit,
+    observable: Observable,
+    params: Sequence[float],
+    simulator: Optional[StatevectorSimulator] = None,
+    param_indices: Optional[Sequence[int]] = None,
+    initial_state: Optional[Statevector] = None,
+) -> np.ndarray:
+    """Adjoint gradients for one or many parameter vectors in one sweep.
+
+    Parameters
+    ----------
+    circuit, observable:
+        The expectation function being differentiated.
+    params:
+        One parameter vector (shape ``(P,)``) or a stack of ``B`` vectors
+        (shape ``(B, P)``) sharing the circuit — e.g. one trajectory per
+        initialization method in lock-step training.
+    simulator:
+        Reused if given, else a fresh one is created.
+    param_indices:
+        Subset of parameters to differentiate (default: all).
+    initial_state:
+        Optional non-default input state shared by every row.
+
+    Returns
+    -------
+    numpy.ndarray
+        Shape ``(len(param_indices),)`` for 1-D ``params``, else
+        ``(B, len(param_indices))``; row ``b`` equal (``np.array_equal``) to
+        ``adjoint_gradient(circuit, observable, params[b], ...)``.
+    """
+    _, grads, single = _batch_adjoint(
+        circuit, observable, params, simulator, param_indices, initial_state,
+        want_values=False,
+    )
+    return grads[0] if single else grads
+
+
+def batch_adjoint_value_and_gradient(
+    circuit: QuantumCircuit,
+    observable: Observable,
+    params: Sequence[float],
+    simulator: Optional[StatevectorSimulator] = None,
+    param_indices: Optional[Sequence[int]] = None,
+    initial_state: Optional[Statevector] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(<O> per row, gradients)`` from one batched adjoint pass.
+
+    Expectations are read off the shared forward pass — the batched
+    counterpart of :func:`adjoint_value_and_gradient`.  For 1-D ``params``
+    returns ``(float, (len(indices),))``, else ``((B,), (B, len(indices)))``.
+    """
+    values, grads, single = _batch_adjoint(
+        circuit, observable, params, simulator, param_indices, initial_state,
+        want_values=True,
+    )
+    if single:
+        return float(values[0]), grads[0]
+    return values, grads
+
+
+def megabatch_adjoint_gradient(
+    circuits: Sequence[QuantumCircuit],
+    observable: Observable,
+    params_batches: Sequence[Sequence[float]],
+    simulator: Optional[StatevectorSimulator] = None,
+    param_indices: Optional[Sequence[int]] = None,
+    initial_state: Optional[Statevector] = None,
+    plan: Optional[MegaBatchPlan] = None,
+) -> "list[np.ndarray]":
+    """Adjoint gradients for a whole shape bucket in one stacked sweep.
+
+    The mega-batched form of :func:`batch_adjoint_gradient` — the same
+    stacked sweep (:func:`_stacked_adjoint_sweep`) with each row running
+    its own circuit's drawn gates, and no row gather or scatter.  Rows
+    evolve independently, so entry ``s`` equals
+    ``batch_adjoint_gradient(circuits[s], observable, params_batches[s],
+    ...)``.
+
+    Parameters
+    ----------
+    circuits, observable, params_batches, simulator, param_indices,
+    initial_state, plan:
+        As in :func:`megabatch_parameter_shift` (the adjoint engine has
+        no sampled mode).
+
+    Returns
+    -------
+    list of numpy.ndarray
+        One ``(M_s, len(param_indices))`` gradient block per circuit.
+    """
+    simulator = _adjoint_simulator(simulator)
+    batches = _coerce_mega_batches(circuits, params_batches)
+    plan = plan or MegaBatchPlan(circuits)
+    indices = _resolve_indices(plan.template, param_indices)
+    rows = np.concatenate(
+        [np.full(bt.shape[0], s, dtype=np.intp) for s, bt in enumerate(batches)]
+    )
+    _, grads = _stacked_adjoint_sweep(
+        plan, observable, np.concatenate(batches, axis=0), rows, simulator,
+        indices, initial_state, want_values=False,
+    )
     outputs: "list[np.ndarray]" = []
     start = 0
-    for b in batches:
-        outputs.append(grads[start : start + b.shape[0]])
-        start += b.shape[0]
+    for batch in batches:
+        outputs.append(grads[start : start + batch.shape[0]])
+        start += batch.shape[0]
     return outputs
 
 
 #: Named registry of gradient engines.  The ``batch_*`` engines share the
 #: standard engine signature (and additionally accept ``(B, P)`` parameter
 #: stacks), returning the same values as their sequential counterparts
-#: from one batched execution.
+#: from one batched execution; ``batch_adjoint`` is a one-circuit call of
+#: the stacked adjoint engine, ``batch_parameter_shift`` one folded
+#: ``expectation_batch`` (itself a one-circuit mega-batch on the
+#: statevector simulator).
 GRADIENT_ENGINES = {
     "parameter_shift": parameter_shift,
     "batch_parameter_shift": batch_parameter_shift,

@@ -36,9 +36,12 @@ the sampled estimators thread the noise model's classical
 :class:`~repro.backend.simulator.StatevectorSimulator` the gradient
 engines consume (``expectation``, ``expectation_batch``, ``run_batch``,
 ``sampled_expectation_rows``), so ``parameter_shift`` and the batched
-shift-rule engines run unmodified under noise.  Adjoint-family engines
-have no non-unitary analogue; the config layer routes noisy runs to the
-shift family.
+shift-rule engines run unmodified under noise; both simulators draw shots
+through one row sampler
+(:func:`~repro.backend.simulator.sample_expectation_rows`).
+Adjoint-family engines have no non-unitary analogue: the config layer
+routes noisy runs to the shift family, and an adjoint engine handed this
+simulator raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -56,12 +59,12 @@ from repro.backend.observables import (
     PauliSum,
     Projector,
 )
-from repro.backend.simulator import StatevectorSimulator, batch_chunk_rows
-from repro.backend.statevector import (
-    Statevector,
-    apply_matrix,
-    sample_basis_bits,
+from repro.backend.simulator import (
+    StatevectorSimulator,
+    batch_chunk_rows,
+    sample_expectation_rows,
 )
+from repro.backend.statevector import Statevector, apply_matrix
 from repro.utils.array_api import (
     COMPLEX_DTYPE,
     FLOAT_DTYPE,
@@ -552,83 +555,22 @@ class PauliTransferSimulator:
     ) -> np.ndarray:
         """Shot-estimated ``<O>`` per Pauli-vector row.
 
-        Mirrors the statevector simulator's row protocol: vectorized
-        per-term basis rotations (as PTMs) and probability matrices once
-        per block, then row-major draws consuming ``rngs[b]`` for row
-        ``b`` term by term.  The noise model's ``readout_error`` flips
-        each recorded bit with that probability, drawn from the same
-        per-row generator after the outcome draw.
+        :func:`~repro.backend.simulator.sample_expectation_rows` — the
+        statevector simulator's row sampler — on Pauli vectors: basis
+        rotations apply as PTMs, and the noise model's ``readout_error``
+        flips each recorded bit with that probability, drawn from the
+        same per-row generator after the outcome draw.
         """
-        check_positive_int(shots, "shots")
-        if is_device_array(states):
-            states = array_backend_of(states).to_numpy(states)
-        states = np.asarray(states)
-        if len(rngs) != states.shape[0]:
-            raise ValueError(
-                f"got {len(rngs)} generators for {states.shape[0]} rows"
-            )
         num_qubits = self._num_qubits_of(states)
-        block = batch_chunk_rows(2 * num_qubits)
-        estimates = np.empty(states.shape[0], dtype=FLOAT_DTYPE)
-        for start in range(0, states.shape[0], block):
-            stop = min(start + block, states.shape[0])
-            stages = self._sampling_stages(states[start:stop], observable)
-            for row in range(start, stop):
-                rng = rngs[row]
-                estimates[row] = float(
-                    sum(stage(row - start, rng, shots) for stage in stages)
-                )
-        return estimates
-
-    def _sampling_stages(self, states: np.ndarray, observable: Observable):
-        num_qubits = self._num_qubits_of(states)
-        if observable.num_qubits != num_qubits:
-            raise ValueError(
-                f"observable acts on {observable.num_qubits} qubits, "
-                f"states have {num_qubits}"
-            )
-        readout = self.noise_model.readout_error or None
-        if isinstance(observable, Projector):
-            probs = self.probabilities_rows(states)
-            target_bits = np.asarray(observable.bits)
-
-            def projector_stage(row, rng, shots):
-                bits = sample_basis_bits(
-                    probs[row], shots, rng, num_qubits, readout_error=readout
-                )
-                return float(np.mean(np.all(bits == target_bits, axis=1)))
-
-            return [projector_stage]
-        if isinstance(observable, PauliString):
-            terms = [observable]
-        elif isinstance(observable, PauliSum):
-            terms = observable.terms
-        else:
-            raise TypeError(
-                "shot-based estimation is not implemented for "
-                f"{type(observable).__name__}"
-            )
-        doubled = 2 * num_qubits
-        stages = []
-        for term in terms:
-            if term.is_identity:
-                stages.append(lambda row, rng, shots, c=term.coefficient: c)
-                continue
-            rotated = states
-            for matrix, qubit in term.rotation_matrices():
-                rotated = apply_matrix(
-                    rotated,
-                    _cached_unitary_ptm(matrix),
-                    _ptm_axes([qubit]),
-                    doubled,
-                )
-            term_probs = self.probabilities_rows(rotated)
-
-            def pauli_stage(row, rng, shots, probs=term_probs, term=term):
-                bits = sample_basis_bits(
-                    probs[row], shots, rng, num_qubits, readout_error=readout
-                )
-                return float(np.mean(term.eigenvalues_of_bits(bits)))
-
-            stages.append(pauli_stage)
-        return stages
+        return sample_expectation_rows(
+            states,
+            observable,
+            shots,
+            rngs,
+            num_qubits,
+            probabilities=self.probabilities_rows,
+            rotate=lambda rows, matrix, qubit: apply_matrix(
+                rows, _cached_unitary_ptm(matrix), _ptm_axes([qubit]), 2 * num_qubits
+            ),
+            readout_error=self.noise_model.readout_error or None,
+        )

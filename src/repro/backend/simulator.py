@@ -20,18 +20,20 @@ Batched execution
 -----------------
 :meth:`StatevectorSimulator.run_batch` and
 :meth:`StatevectorSimulator.expectation_batch` evolve a ``(B, 2**n)``
-amplitude buffer through one circuit for ``B`` parameter vectors at once:
-fixed gates are applied to all rows with a single shared matrix, trainable
-gates gather their per-row angles and apply a ``(B, 2**k, 2**k)`` matrix
-stack (see :meth:`ParametricGate.matrix_batch`).  Per row the arithmetic
-matches the sequential :meth:`run` bit for bit, so batched evaluation is a
+amplitude buffer through one circuit for ``B`` parameter vectors at once.
+A one-circuit batch is a one-circuit mega-batch: it runs through the
+stacked engine below with every row mapped to the circuit's cached
+:class:`MegaBatchPlan` (:meth:`MegaBatchPlan.of`), so there is exactly one
+stacked statevector engine.  Per row the arithmetic matches the
+sequential :meth:`run` (``np.array_equal``), so batched evaluation is a
 pure throughput optimization — the parameter-shift variance sweep uses it
 to fold every method's draws and both shift terms into one call.
 
 The sampled path is batched too: ``expectation_batch(..., shots=, seed=)``
 applies each Pauli term's diagonalizing rotations once to the whole
 ``(B, 2**n)`` stack and then draws row-wise counts from one independent
-generator per row (:meth:`StatevectorSimulator.sampled_expectation_rows`),
+generator per row (:func:`sample_expectation_rows`, the row sampler this
+simulator shares with :class:`~repro.backend.ptm.PauliTransferSimulator`),
 bit-identical per row to the sequential ``expectation(shots=...)`` given
 the same spawned child seeds.
 
@@ -46,16 +48,17 @@ once and stores, per trainable slot, the per-circuit gate table; at
 execution time each slot applies a per-row dense stack and a per-row
 diagonal stack to the whole amplitude stack, exact identity entries
 filling each row's unused pass.  Because every kernel in this module is per-row
-independent, row ``b`` remains bit-identical to running its own circuit
-through ``run_batch`` (and therefore through the sequential ``run``) —
-mega-batching, like batching, is a pure throughput change.  This is what
+independent, row ``b`` remains equal to running its own circuit through
+the sequential ``run`` — mega-batching, like batching, is a pure
+throughput change.  This is what
 lets the variance experiment fold a grid cell's hundreds of (structure,
 method, shift-term) evaluations into a handful of hundred-row executions.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import functools
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,8 +86,8 @@ __all__ = [
     "StatevectorSimulator",
     "MegaBatchPlan",
     "apply_operation",
-    "apply_operation_batch",
     "batch_chunk_rows",
+    "sample_expectation_rows",
 ]
 
 #: Target working-set size for one :meth:`StatevectorSimulator.run_batch`
@@ -99,10 +102,9 @@ def batch_chunk_rows(
     """Rows per memory-aware batch chunk at this register width.
 
     The single source of the chunking policy shared by
-    :meth:`StatevectorSimulator.run_batch`,
-    :meth:`StatevectorSimulator.run_megabatch`,
-    :meth:`StatevectorSimulator.sampled_expectation_rows`, and the
-    benchmarks that report effective fold sizes.  The budget is
+    :meth:`StatevectorSimulator.run_megabatch` (and so ``run_batch``),
+    :func:`sample_expectation_rows`, and the benchmarks that report
+    effective fold sizes.  The budget is
     per-backend (``backend.chunk_bytes``): the numpy default keeps a
     chunk cache-resident, accelerator backends use a much larger budget
     so kernel-launch overhead amortizes over the biggest resident batch.
@@ -113,8 +115,94 @@ def batch_chunk_rows(
     return max(1, chunk_bytes // (16 * 2**num_qubits))
 
 
+def _check_observable_width(observable: Observable, num_qubits: int) -> None:
+    if observable.num_qubits != num_qubits:
+        raise ValueError(
+            f"observable acts on {observable.num_qubits} qubits, "
+            f"states have {num_qubits}"
+        )
+
+
+def sample_expectation_rows(
+    states: np.ndarray,
+    observable: Observable,
+    shots: int,
+    rngs: Sequence[np.random.Generator],
+    num_qubits: int,
+    probabilities: Callable[[np.ndarray], np.ndarray],
+    rotate: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
+    readout_error: Optional[float] = None,
+) -> np.ndarray:
+    """Shot-estimated ``<O>`` for each row of a state stack.
+
+    The row sampler of both simulators.  ``states`` rows are
+    ``num_qubits``-qubit states in the simulator's encoding:
+    ``probabilities(rows)`` gives their ``(rows, 2**n)`` outcome
+    distributions and ``rotate(rows, matrix, qubit)`` applies a one-qubit
+    unitary (a Pauli term's basis change).  Rotations and probability
+    matrices are computed once per row block; the draws then walk the rows
+    in order, consuming ``rngs[b]`` for row ``b`` term by term exactly as
+    the sequential ``expectation(shots=...)`` path would, so a generator
+    shared by consecutive rows stays sequentially consistent.
+    ``readout_error`` is passed to :func:`sample_basis_bits`.
+    """
+    check_positive_int(shots, "shots")
+    # Sampling is host-side by contract: device stacks cross to numpy at
+    # this single staging point, before any generator draw.
+    if is_device_array(states):
+        states = array_backend_of(states).to_numpy(states)
+    states = np.asarray(states)
+    if len(rngs) != states.shape[0]:
+        raise ValueError(f"got {len(rngs)} generators for {states.shape[0]} rows")
+    _check_observable_width(observable, num_qubits)
+    if isinstance(observable, (Projector, PauliString)):
+        terms = [observable]
+    elif isinstance(observable, PauliSum):
+        terms = observable.terms
+    else:
+        raise TypeError(
+            "shot-based estimation is not implemented for "
+            f"{type(observable).__name__}"
+        )
+    # Row blocks bound the per-term probability matrices; rows still walk
+    # in global order, so blocking is invisible to the draws.
+    block = batch_chunk_rows(int(states.shape[1]).bit_length() - 1)
+    estimates = np.empty(states.shape[0], dtype=FLOAT_DTYPE)
+    for start in range(0, states.shape[0], block):
+        rows = states[start : start + block]
+        # One (probabilities, score) stage per sequential draw; identity
+        # terms are a constant and consume no randomness.
+        stages = []
+        for term in terms:
+            if isinstance(term, Projector):
+                target = np.asarray(term.bits)
+                stages.append(
+                    (probabilities(rows), lambda bits: np.all(bits == target, axis=1))
+                )
+            elif term.is_identity:
+                stages.append((None, term.coefficient))
+            else:
+                rotated = rows
+                for matrix, qubit in term.rotation_matrices():
+                    rotated = rotate(rotated, matrix, qubit)
+                stages.append((probabilities(rotated), term.eigenvalues_of_bits))
+        for offset in range(rows.shape[0]):
+            rng = rngs[start + offset]
+            total = 0
+            for probs, score in stages:
+                if probs is None:
+                    total += score
+                    continue
+                bits = sample_basis_bits(
+                    probs[offset], shots, rng, num_qubits, readout_error=readout_error
+                )
+                total += float(np.mean(score(bits)))
+            estimates[start + offset] = float(total)
+    return estimates
+
+
 def apply_operation(data, op, params, num_qubits, backend=None):
-    """Apply one circuit operation to a flat amplitude buffer.
+    """Apply one circuit operation to a flat buffer or a ``(B, 2**n)`` stack.
 
     Dispatches diagonal gates (CZ, RZ, PHASE, ...) to the cheaper
     elementwise kernel; everything else goes through the general
@@ -129,56 +217,34 @@ def apply_operation(data, op, params, num_qubits, backend=None):
     return apply_matrix(data, matrix, op.qubits, num_qubits, backend=backend)
 
 
-def apply_parametric_stack(data, gate, thetas, qubits, num_qubits, backend=None):
-    """Apply one parametric gate with per-row angles to an amplitude stack.
-
-    ``thetas`` has one entry per row of ``data``; diagonal gates route
-    through the elementwise kernel exactly as the sequential dispatcher
-    does, so row ``b`` is bit-identical to applying ``gate.matrix(
-    thetas[b])`` through :func:`apply_operation`.  Matrix stacks are
-    built from the host parameter array; on a non-numpy ``backend`` the
-    dense stack is staged by :meth:`ParametricGate.matrix_batch` (and a
-    diagonal stack by the kernel) in one copy per gate/slot.
-    """
-    if getattr(gate, "is_diagonal", False):
-        matrices = gate.matrix_batch(thetas)
-        diagonals = np.diagonal(matrices, axis1=-2, axis2=-1)
-        return apply_diagonal(data, diagonals, qubits, num_qubits, backend=backend)
-    matrices = gate.matrix_batch(thetas, backend=backend)
-    return apply_matrix(data, matrices, qubits, num_qubits, backend=backend)
-
-
-def apply_operation_batch(data, op, batch_params, num_qubits, backend=None):
-    """Apply one circuit operation to a ``(B, 2**n)`` amplitude buffer.
-
-    Trainable gates gather their per-row angles from ``batch_params``
-    (shape ``(B, num_parameters)``) and apply a ``(B, 2**k, 2**k)`` matrix
-    stack; fixed and bound-parameter gates share one matrix across all
-    rows.  Row ``b`` of the result is bit-identical to
-    ``apply_operation(data[b], op, batch_params[b], num_qubits)``.
-    """
-    gate = op.gate
-    if op.is_trainable:
-        return apply_parametric_stack(
-            data,
-            gate,
-            batch_params[:, op.param_index],
-            op.qubits,
-            num_qubits,
-            backend=backend,
-        )
-    matrix = op.matrix(None)
-    if getattr(gate, "is_diagonal", False):
-        return apply_diagonal(
-            data, np.diagonal(matrix), op.qubits, num_qubits, backend=backend
-        )
-    return apply_matrix(data, matrix, op.qubits, num_qubits, backend=backend)
-
-
 #: Diagonal entries that multiply amplitudes exactly (components 0/±1),
 #: making fused products of such diagonals value-identical to sequential
 #: application — the condition for entangler-chain fusion.
 _EXACT_UNITS = (1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j)
+
+
+# Plan compilation memos.  ``Operation`` is a frozen, hashable dataclass
+# and skeleton-built circuits share their fixed operations, so a fresh
+# circuit (or a whole bucket of them) compiles against warm entries
+# instead of rebuilding matrices per plan.  Both tables are bounded.
+@functools.lru_cache(maxsize=1024)
+def _fusable_diagonal(op) -> bool:
+    """True for a fixed diagonal operation whose entries are exact units."""
+    if not getattr(op.gate, "is_diagonal", False):
+        return False
+    return bool(np.all(np.isin(np.diagonal(op.matrix(None)), _EXACT_UNITS)))
+
+
+@functools.lru_cache(maxsize=64)
+def _fused_diagonal(ops: tuple, num_qubits: int) -> np.ndarray:
+    """Read-only full-space product of a run of fusable diagonals."""
+    fused = np.ones(2**num_qubits, dtype=COMPLEX_DTYPE)
+    for op in ops:
+        fused = apply_diagonal(
+            fused, np.diagonal(op.matrix(None)), op.qubits, num_qubits
+        )
+    fused.flags.writeable = False
+    return fused
 
 
 class MegaBatchPlan:
@@ -236,24 +302,42 @@ class MegaBatchPlan:
         #: gates.  One fancy index through it tells slot execution which
         #: rows take the full-stack diagonal pass and which the dense one.
         self.slot_diagonal: Dict[int, np.ndarray] = {}
+        # Most slots hold one gate on every circuit; they share one code
+        # array and one flag table per diagonal-ness (plan compile runs
+        # once per fresh circuit, so its per-slot cost matters).
+        same_codes = np.zeros(len(circuits), dtype=np.intp)
+        one_flag = {False: np.array([False]), True: np.array([True])}
         for pos, op in enumerate(template.operations):
             if not op.is_trainable:
                 continue
-            gates: List[ParametricGate] = []
-            code_of: Dict[str, int] = {}
-            codes = np.empty(len(circuits), dtype=np.intp)
-            for c_index, circuit in enumerate(circuits):
-                gate = circuit.operations[pos].gate
-                code = code_of.get(gate.name)
-                if code is None:
-                    code = code_of[gate.name] = len(gates)
-                    gates.append(gate)
-                codes[c_index] = code
+            column = [circuit.operations[pos].gate for circuit in circuits]
+            distinct: Dict[str, ParametricGate] = {}
+            for gate in column:
+                distinct.setdefault(gate.name, gate)
+            gates = list(distinct.values())
+            if len(gates) == 1:
+                codes = same_codes
+                flags = one_flag[bool(getattr(gates[0], "is_diagonal", False))]
+            else:
+                code_of = {name: code for code, name in enumerate(distinct)}
+                codes = np.array([code_of[g.name] for g in column], dtype=np.intp)
+                flags = np.array(
+                    [bool(getattr(gate, "is_diagonal", False)) for gate in gates]
+                )
             self.slot_gates[pos] = (gates, codes)
-            self.slot_diagonal[pos] = np.array(
-                [bool(getattr(gate, "is_diagonal", False)) for gate in gates]
-            )
+            self.slot_diagonal[pos] = flags
         self.steps = self._compile_steps()
+
+    @classmethod
+    def of(cls, circuit: QuantumCircuit) -> "MegaBatchPlan":
+        """The one-circuit plan of ``circuit``, cached on the circuit and
+        rebuilt, like :meth:`QuantumCircuit.static_matrices`, whenever its
+        operation sequence no longer compares equal (appends, edits)."""
+        key = tuple(circuit.operations)
+        cached = circuit._megabatch_plan
+        if cached is None or cached[0] != key:
+            cached = circuit._megabatch_plan = (key, cls([circuit]))
+        return cached[1]
 
     @property
     def num_circuits(self) -> int:
@@ -308,28 +392,21 @@ class MegaBatchPlan:
                 steps.append(("slot", pos, pos + 1, op))
                 pos += 1
                 continue
-            if self._fusable_diagonal(op):
-                stop = pos
-                fused = np.ones(2**self.num_qubits, dtype=COMPLEX_DTYPE)
-                while stop < len(ops) and self._fusable_diagonal(ops[stop]):
-                    diagonal = np.diagonal(ops[stop].matrix(None))
-                    fused = apply_diagonal(
-                        fused, diagonal, ops[stop].qubits, self.num_qubits
-                    )
+            if _fusable_diagonal(op):
+                stop = pos + 1
+                while (
+                    stop < len(ops)
+                    and not ops[stop].is_trainable
+                    and _fusable_diagonal(ops[stop])
+                ):
                     stop += 1
+                fused = _fused_diagonal(tuple(ops[pos:stop]), self.num_qubits)
                 steps.append(("fused_diag", pos, stop, fused))
                 pos = stop
                 continue
             steps.append(("op", pos, pos + 1, op))
             pos += 1
         return steps
-
-    @staticmethod
-    def _fusable_diagonal(op) -> bool:
-        if op.is_trainable or not getattr(op.gate, "is_diagonal", False):
-            return False
-        diagonal = np.diagonal(op.matrix(None))
-        return bool(np.all(np.isin(diagonal, _EXACT_UNITS)))
 
     @staticmethod
     def _check_same_shape(
@@ -447,6 +524,12 @@ class StatevectorSimulator:
     ) -> np.ndarray:
         """Evolve ``B`` parameter vectors through ``circuit`` at once.
 
+        A one-circuit mega-batch: every row runs through
+        :meth:`run_megabatch` on the circuit's cached one-circuit plan
+        (:meth:`MegaBatchPlan.of`), so fixed operations share one matrix
+        across rows, fused entangler runs apply one precomputed diagonal,
+        and each trainable gate applies a per-row matrix stack.
+
         Parameters
         ----------
         circuit:
@@ -460,8 +543,10 @@ class StatevectorSimulator:
         Returns
         -------
         numpy.ndarray
-            ``(B, 2**num_qubits)`` complex amplitudes, row ``b`` bit-identical
-            to ``self.run(circuit, params_batch[b]).data``.
+            ``(B, 2**num_qubits)`` complex amplitudes; row ``b`` is
+            ``np.array_equal`` to ``self.run(circuit, params_batch[b]).data``
+            (only the sign of exactly-zero amplitudes may differ under fused
+            diagonals — see :class:`MegaBatchPlan`).
         """
         data = self._run_batch_data(circuit, params_batch, initial_state)
         backend = self.backend
@@ -482,53 +567,10 @@ class StatevectorSimulator:
         forward pass, adjoint sweep, and reductions.
         """
         batch_array = self._coerce_params_batch(circuit, params_batch)
-        num_qubits = circuit.num_qubits
-        batch = batch_array.shape[0]
-        backend = self.backend
-        # Large stacks are evolved in row chunks sized to keep the
-        # amplitude buffer cache-resident (numpy) or launch-efficient
-        # (device backends): every gate streams the whole buffer through
-        # memory, so an oversized batch trades the batching win back for
-        # DRAM bandwidth.  Chunking is invisible to results — rows
-        # evolve independently through the same kernels.
-        chunk = batch_chunk_rows(num_qubits, backend)
-        if batch > chunk:
-            return backend.concatenate(
-                [
-                    self._run_batch_data(
-                        circuit, batch_array[start : start + chunk], initial_state
-                    )
-                    for start in range(0, batch, chunk)
-                ]
-            )
-        if initial_state is None:
-            if backend.is_numpy:
-                data = np.zeros((batch, 2**num_qubits), dtype=COMPLEX_DTYPE)
-            else:
-                data = backend.zeros(
-                    (batch, 2**num_qubits), backend.complex_dtype
-                )
-            data[:, 0] = 1.0
-        else:
-            if initial_state.num_qubits != num_qubits:
-                raise ValueError(
-                    f"initial state has {initial_state.num_qubits} qubits, "
-                    f"circuit needs {num_qubits}"
-                )
-            if backend.is_numpy:
-                data = np.tile(initial_state.data, (batch, 1))
-            else:
-                data = backend.tile_rows(
-                    backend.asarray(
-                        initial_state.data, dtype=backend.complex_dtype
-                    ),
-                    batch,
-                )
-        for op in circuit.operations:
-            data = apply_operation_batch(
-                data, op, batch_array, num_qubits, backend=backend
-            )
-        return data
+        rows = np.zeros(batch_array.shape[0], dtype=np.intp)
+        return self._run_megabatch_data(
+            MegaBatchPlan.of(circuit), batch_array, rows, initial_state
+        )
 
     def run_megabatch(
         self,
@@ -553,9 +595,9 @@ class StatevectorSimulator:
         the angle, is row data and no rows are gathered or scattered.
         Rows evolve independently, and the pass a row's gate does not
         use leaves it exactly unchanged, so row
-        ``b`` equals ``self.run_batch(plan.circuits[row_circuits[b]],
-        params_batch[b:b+1])[0]`` bit for bit (up to the sign of
-        exactly-zero amplitudes under fused diagonals — see
+        ``b`` is ``np.array_equal`` to ``self.run(plan.circuits[
+        row_circuits[b]], params_batch[b]).data`` (only the sign of
+        exactly-zero amplitudes may differ under fused diagonals — see
         :class:`MegaBatchPlan`): mega-batching is a pure throughput
         change, the contract the variance engine's shape-bucket fold
         relies on.
@@ -643,9 +685,12 @@ class StatevectorSimulator:
                 f"per-row initial states must be (batch, {2**num_qubits}), "
                 f"got shape {tuple(initial_state.shape)}"
             )
-        # Same memory-aware chunking as run_batch: large stacks evolve in
-        # cache-resident row chunks; rows are independent, so chunk
-        # boundaries are invisible to the results.
+        # Large stacks are evolved in row chunks sized to keep the
+        # amplitude buffer cache-resident (numpy) or launch-efficient
+        # (device backends): every gate streams the whole buffer through
+        # memory, so an oversized batch trades the batching win back for
+        # DRAM bandwidth.  Rows are independent, so chunk boundaries are
+        # invisible to the results.
         chunk = batch_chunk_rows(num_qubits, backend)
         if batch > chunk:
             return backend.concatenate(
@@ -702,8 +747,8 @@ class StatevectorSimulator:
                     f"diagonal run covering operations [{lo}, {hi})"
                 )
             if kind == "op":
-                data = apply_operation_batch(
-                    data, payload, batch_array, num_qubits, backend=backend
+                data = apply_operation(
+                    data, payload, None, num_qubits, backend=backend
                 )
             elif kind == "fused_diag":
                 if backend.is_numpy:
@@ -738,14 +783,13 @@ class StatevectorSimulator:
     ) -> np.ndarray:
         """Apply one trainable slot with per-row gates to the stack.
 
-        A slot whose plan holds one gate is a plain
-        :func:`apply_parametric_stack` call.  Otherwise the slot runs as
-        at most two passes over the *whole* stack, with no row gather or
-        scatter: one :func:`apply_matrix` whose per-row operand holds each
-        dense-gate row's matrix and the identity on diagonal-gate rows,
-        then one :func:`apply_diagonal` whose per-row diagonal holds each
-        diagonal-gate row's entries and exact ones on dense-gate rows.  A
-        pass that no row of this stack needs is skipped.
+        The slot runs as at most two passes over the *whole* stack, with
+        no row gather or scatter: one :func:`apply_matrix` whose per-row
+        operand holds each dense-gate row's matrix and the identity on
+        diagonal-gate rows, then one :func:`apply_diagonal` whose per-row
+        diagonal holds each diagonal-gate row's entries and exact ones on
+        dense-gate rows.  A pass that no row of this stack needs is
+        skipped.
 
         The passes are exact on the rows they leave alone: ``1*x + 0*y``
         is exactly ``x`` under IEEE arithmetic in any summation order,
@@ -753,16 +797,20 @@ class StatevectorSimulator:
         carries the values its own gate's kernel gives it; only the sign
         of an exactly-zero amplitude may differ (as under fused
         diagonals, see :class:`MegaBatchPlan`), which ``np.array_equal``
-        ignores.  Operand stacks are assembled host-side and staged to
-        the backend by the kernel in one copy per pass.
+        ignores.  A one-gate slot takes only its gate's pass, with no
+        identity padding.  Operand stacks are assembled host-side and
+        staged to the backend by the kernel in one copy per pass.
         """
         gates, codes = plan.slot_gates[pos]
         thetas = batch_array[:, op.param_index]
-        if len(gates) == 1:
-            return apply_parametric_stack(
-                data, gates[0], thetas, op.qubits, num_qubits, backend=backend
-            )
         matrices = plan.slot_matrices(pos, rows, thetas)
+        if len(gates) == 1:
+            if plan.slot_diagonal[pos][0]:
+                phases = np.diagonal(matrices, axis1=-2, axis2=-1)
+                return apply_diagonal(
+                    data, phases, op.qubits, num_qubits, backend=backend
+                )
+            return apply_matrix(data, matrices, op.qubits, num_qubits, backend=backend)
         row_is_diagonal = plan.slot_diagonal[pos][codes[rows]]
         phases = np.where(
             row_is_diagonal[:, None], np.diagonal(matrices, axis1=-2, axis2=-1), 1.0
@@ -833,9 +881,6 @@ class StatevectorSimulator:
             # The observable layer is backend-aware: device stacks reduce
             # on-namespace and only the (B,) float result crosses back.
             return observable.expectation_batch(states)
-        backend = self.backend
-        if not backend.is_numpy:
-            states = backend.to_numpy(states)
         rngs = resolve_rngs(seed, states.shape[0])
         return self.sampled_expectation_rows(states, observable, shots, rngs)
 
@@ -848,88 +893,22 @@ class StatevectorSimulator:
     ) -> np.ndarray:
         """Shot-estimated ``<O>`` for each row of a ``(B, 2**n)`` stack.
 
-        The vectorized work — Pauli-term basis rotations and probability
-        matrices — is done once per batch; the multinomial draws then walk
-        the rows in order, consuming ``rngs[b]`` for row ``b`` term by
-        term, exactly as the sequential ``expectation(shots=...)`` path
-        would.  Row ``b`` is therefore bit-identical to
-        ``self._sampled_expectation(Statevector(states[b]), observable,
-        shots, rngs[b])``.  ``rngs`` may repeat one generator across
-        consecutive rows (the batched parameter-shift path shares a
-        per-trajectory stream over that trajectory's shifted rows); the
-        row-major draw order keeps such shared streams sequentially
-        consistent.
+        :func:`sample_expectation_rows` on amplitude rows: row ``b`` is
+        bit-identical to ``self._sampled_expectation(Statevector(
+        states[b]), observable, shots, rngs[b])``.
         """
-        check_positive_int(shots, "shots")
-        # Sampling is host-side by contract: device stacks cross to numpy
-        # at this single staging point, before any generator draw.
-        if is_device_array(states):
-            states = array_backend_of(states).to_numpy(states)
-        if len(rngs) != states.shape[0]:
-            raise ValueError(
-                f"got {len(rngs)} generators for {states.shape[0]} rows"
-            )
-        # Rows are processed in blocks so the per-term probability
-        # matrices stay bounded (one rotated stack + one float matrix per
-        # term *per block*, not per batch).  Blocking is invisible to the
-        # draws: rows still walk in global order, so a generator shared
-        # across consecutive rows — even straddling a block boundary —
-        # is consumed exactly as in one unblocked pass.
-        block = batch_chunk_rows(int(states.shape[1]).bit_length() - 1)
-        estimates = np.empty(states.shape[0], dtype=FLOAT_DTYPE)
-        for start in range(0, states.shape[0], block):
-            stop = min(start + block, states.shape[0])
-            stages = self._sampling_stages(states[start:stop], observable)
-            for row in range(start, stop):
-                rng = rngs[row]
-                estimates[row] = float(
-                    sum(stage(row - start, rng, shots) for stage in stages)
-                )
-        return estimates
-
-    def _sampling_stages(self, states: np.ndarray, observable: Observable):
-        """Per-term draw closures over precomputed probability matrices.
-
-        Each stage maps ``(row, rng, shots) -> float`` and corresponds to
-        one sequential draw of ``_sampled_expectation`` (Pauli terms in
-        order; identity terms consume no randomness), so iterating the
-        stages per row reproduces the sequential stream consumption.
-        """
-        num_qubits = observable.num_qubits
-        if isinstance(observable, Projector):
-            probs = np.abs(states) ** 2
-            target_bits = np.asarray(observable.bits)
-
-            def projector_stage(row, rng, shots):
-                bits = sample_basis_bits(probs[row], shots, rng, num_qubits)
-                return float(np.mean(np.all(bits == target_bits, axis=1)))
-
-            return [projector_stage]
-        if isinstance(observable, PauliString):
-            terms = [observable]
-        elif isinstance(observable, PauliSum):
-            terms = observable.terms
-        else:
-            raise TypeError(
-                "shot-based estimation is not implemented for "
-                f"{type(observable).__name__}"
-            )
-        stages = []
-        for term in terms:
-            if term.is_identity:
-                stages.append(lambda row, rng, shots, c=term.coefficient: c)
-                continue
-            rotated = states
-            for matrix, qubit in term.rotation_matrices():
-                rotated = apply_matrix(rotated, matrix, [qubit], num_qubits)
-            term_probs = np.abs(rotated) ** 2
-
-            def pauli_stage(row, rng, shots, probs=term_probs, term=term):
-                bits = sample_basis_bits(probs[row], shots, rng, num_qubits)
-                return float(np.mean(term.eigenvalues_of_bits(bits)))
-
-            stages.append(pauli_stage)
-        return stages
+        num_qubits = int(states.shape[-1]).bit_length() - 1
+        return sample_expectation_rows(
+            states,
+            observable,
+            shots,
+            rngs,
+            num_qubits,
+            probabilities=lambda rows: np.abs(rows) ** 2,
+            rotate=lambda rows, matrix, qubit: apply_matrix(
+                rows, matrix, [qubit], num_qubits
+            ),
+        )
 
     def probabilities(
         self,
@@ -1023,6 +1002,7 @@ class StatevectorSimulator:
         seed: SeedLike,
     ) -> float:
         check_positive_int(shots, "shots")
+        _check_observable_width(observable, state.num_qubits)
         rng = ensure_rng(seed)
         if isinstance(observable, Projector):
             bits = state.sample(shots, seed=rng)

@@ -332,9 +332,12 @@ class TorchBackend(ArrayBackend):
         if isinstance(x, torch.Tensor):
             out = x.to(device=self._device)
         else:
-            if isinstance(x, np.ndarray) and not x.flags["C_CONTIGUOUS"]:
-                # torch.as_tensor rejects some exotic numpy strides.
-                x = np.ascontiguousarray(x)
+            if isinstance(x, np.ndarray) and not (
+                x.flags["C_CONTIGUOUS"] and x.flags["WRITEABLE"]
+            ):
+                # torch.as_tensor rejects some exotic numpy strides, and
+                # warns on (then aliases) read-only memoized arrays.
+                x = np.array(x, order="C")
             out = torch.as_tensor(x, device=self._device)
         if dtype is not None and out.dtype != dtype:
             out = out.to(dtype)

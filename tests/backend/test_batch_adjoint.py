@@ -34,6 +34,8 @@ from repro.backend import (
     total_z,
     zero_projector,
 )
+from repro.utils.array_api import DEVICE_ATOL, DEVICE_RTOL
+from tests.conftest import STACKED_ENGINE_CASES
 
 
 def _random_pqc(num_qubits, num_layers, seed):
@@ -122,6 +124,36 @@ class TestBatchAdjointBitIdentity:
                             circuit, observable, params[b], simulator=simulator
                         ),
                     )
+
+    @pytest.mark.parametrize("backend", ["numpy", "loopback"])
+    @pytest.mark.parametrize("case", sorted(STACKED_ENGINE_CASES))
+    def test_stacked_rows_equal_sequential_pair(self, case, backend):
+        circuit, initial = STACKED_ENGINE_CASES[case]()
+        simulator = StatevectorSimulator(backend=backend)
+        observable = total_z(circuit.num_qubits)
+        rng = np.random.default_rng(34)
+        params = rng.uniform(0, 2 * np.pi, (4, circuit.num_parameters))
+        values, grads = batch_adjoint_value_and_gradient(
+            circuit, observable, params, simulator=simulator,
+            initial_state=initial,
+        )
+        for b in range(4):
+            value, grad = adjoint_value_and_gradient(
+                circuit, observable, params[b], simulator=simulator,
+                initial_state=initial,
+            )
+            if backend == "numpy":
+                assert values[b] == value
+                assert np.array_equal(grads[b], grad)
+            else:
+                # The device path reduces with a namespace sum, not the
+                # sequential engine's vdot: device tolerance, not bits.
+                np.testing.assert_allclose(
+                    np.append(grads[b], values[b]),
+                    np.append(grad, value),
+                    rtol=DEVICE_RTOL,
+                    atol=DEVICE_ATOL,
+                )
 
     def test_param_indices_subset(self, simulator):
         circuit = _random_pqc(3, 5, seed=51)

@@ -28,6 +28,8 @@ from repro.backend import (
     total_z,
     zero_projector,
 )
+from repro.backend.simulator import MegaBatchPlan
+from tests.conftest import STACKED_ENGINE_CASES
 
 
 def _random_pqc(num_qubits, num_layers, seed):
@@ -46,6 +48,42 @@ class TestRunBatch:
                 assert np.array_equal(
                     states[b], simulator.run(circuit, params[b]).data
                 )
+
+    @pytest.mark.parametrize("backend", ["numpy", "loopback"])
+    @pytest.mark.parametrize("case", sorted(STACKED_ENGINE_CASES))
+    def test_stacked_rows_equal_sequential_run(self, case, backend):
+        circuit, initial = STACKED_ENGINE_CASES[case]()
+        simulator = StatevectorSimulator(backend=backend)
+        rng = np.random.default_rng(24)
+        params = rng.uniform(0, 2 * np.pi, (5, circuit.num_parameters))
+        states = simulator.run_batch(circuit, params, initial_state=initial)
+        for b in range(5):
+            assert np.array_equal(
+                states[b],
+                simulator.run(circuit, params[b], initial_state=initial).data,
+            )
+
+    def test_one_plan_per_circuit_until_append(self, simulator, monkeypatch):
+        built = []
+        original = MegaBatchPlan.__init__
+
+        def counting_init(plan, circuits):
+            built.append(plan)
+            original(plan, circuits)
+
+        monkeypatch.setattr(MegaBatchPlan, "__init__", counting_init)
+        circuit = QuantumCircuit(2).h(0).rx(0).cz(0, 1).ry(1)
+        params = np.array([[0.1, 0.2], [1.3, -0.4]])
+        first = simulator.run_batch(circuit, params)
+        simulator.expectation_batch(circuit, total_z(2), params)
+        assert len(built) == 1
+        circuit.append("RZ", [1])
+        longer = np.hstack([params, np.array([[0.5], [0.9]])])
+        states = simulator.run_batch(circuit, longer)
+        assert len(built) == 2
+        assert not np.array_equal(states, first)
+        for b in range(2):
+            assert np.array_equal(states[b], simulator.run(circuit, longer[b]).data)
 
     def test_rows_normalized(self, simulator):
         circuit = _random_pqc(3, 5, seed=9)
@@ -272,7 +310,7 @@ class TestChunkBoundaries:
     """run_batch / sampled_expectation_rows around the row-chunk boundary.
 
     The chunk size is memory-derived (huge for small registers), so the
-    tests shrink it via the module constant and exercise B exactly at,
+    tests shrink the module and backend budgets and exercise B exactly at,
     one below, and one above the boundary, plus the B=1 degenerate batch.
     Chunking must be invisible: per-row results equal the unchunked (and
     sequential) paths bit for bit, and sampled draws consume per-row
@@ -282,14 +320,14 @@ class TestChunkBoundaries:
     CHUNK_ROWS = 4
     NUM_QUBITS = 3
 
-    def _shrink(self, monkeypatch):
+    def _shrink(self, monkeypatch, simulator):
         import repro.backend.simulator as simulator_module
 
-        monkeypatch.setattr(
-            simulator_module,
-            "_RUN_BATCH_CHUNK_BYTES",
-            16 * 2**self.NUM_QUBITS * self.CHUNK_ROWS,
-        )
+        budget = 16 * 2**self.NUM_QUBITS * self.CHUNK_ROWS
+        # The sampler's row blocks read the module budget; run_batch's row
+        # chunks read the simulator backend's.
+        monkeypatch.setattr(simulator_module, "_RUN_BATCH_CHUNK_BYTES", budget)
+        monkeypatch.setattr(simulator.backend, "chunk_bytes", budget)
 
     @pytest.mark.parametrize("batch", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
     def test_run_batch_rows_unaffected_by_chunking(
@@ -299,7 +337,7 @@ class TestChunkBoundaries:
         rng = np.random.default_rng(11)
         params = rng.normal(size=(batch, circuit.num_parameters))
         unchunked = simulator.run_batch(circuit, params)
-        self._shrink(monkeypatch)
+        self._shrink(monkeypatch, simulator)
         chunked = simulator.run_batch(circuit, params)
         assert np.array_equal(chunked, unchunked)
         for b in range(batch):
@@ -322,7 +360,7 @@ class TestChunkBoundaries:
         unblocked = simulator.sampled_expectation_rows(
             states, observable, 32, [np.random.default_rng(s) for s in seeds]
         )
-        self._shrink(monkeypatch)
+        self._shrink(monkeypatch, simulator)
         blocked = simulator.sampled_expectation_rows(
             states, observable, 32, [np.random.default_rng(s) for s in seeds]
         )
@@ -350,7 +388,7 @@ class TestChunkBoundaries:
         unblocked = simulator.sampled_expectation_rows(
             states, observable, 16, [np.random.default_rng(3)] * batch
         )
-        self._shrink(monkeypatch)
+        self._shrink(monkeypatch, simulator)
         blocked = simulator.sampled_expectation_rows(
             states, observable, 16, [np.random.default_rng(3)] * batch
         )

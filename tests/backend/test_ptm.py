@@ -19,6 +19,10 @@ import pytest
 
 from repro.backend import (
     NoiseModel,
+    adjoint_gradient,
+    adjoint_value_and_gradient,
+    batch_adjoint_gradient,
+    batch_adjoint_value_and_gradient,
     PauliString,
     PauliSum,
     PauliTransferSimulator,
@@ -354,6 +358,28 @@ class TestGradientEngines:
             small_trainable_circuit, obs, params, simulator=sim
         )
         assert np.allclose(sequential, batched, atol=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            adjoint_gradient,
+            adjoint_value_and_gradient,
+            batch_adjoint_gradient,
+            batch_adjoint_value_and_gradient,
+        ],
+    )
+    def test_adjoint_engines_reject_ptm_simulator(
+        self, small_trainable_circuit, engine
+    ):
+        params = random_angles(small_trainable_circuit, seed=23)
+        with pytest.raises(TypeError, match="parameter_shift"):
+            engine(
+                small_trainable_circuit,
+                PauliString(3, "ZZZ"),
+                params,
+                simulator=PauliTransferSimulator(_noisy_model()),
+            )
 
 
 class TestValidation:

@@ -15,6 +15,7 @@ from repro.backend import QuantumCircuit, Statevector, StatevectorSimulator
 from repro.backend.observables import (
     PauliString,
     PauliSum,
+    Projector,
     StateProjector,
     total_z,
     zero_projector,
@@ -216,6 +217,23 @@ class TestSampledExpectationBatch:
                 np.zeros((2, 2)),
                 shots=10,
                 seed=0,
+            )
+
+    @pytest.mark.parametrize(
+        "observable",
+        [PauliString(2, "ZZ"), Projector([0, 0])],
+        ids=["pauli_string", "projector"],
+    )
+    def test_wrong_width_observable_rejected(
+        self, simulator, circuit, params_batch, observable
+    ):
+        with pytest.raises(ValueError, match="observable acts on 2 qubits"):
+            simulator.expectation_batch(
+                circuit, observable, params_batch[:2], shots=10, seed=0
+            )
+        with pytest.raises(ValueError, match="observable acts on 2 qubits"):
+            simulator.expectation(
+                circuit, observable, params_batch[0], shots=10, seed=0
             )
 
     def test_multi_term_estimate_is_unbiased(

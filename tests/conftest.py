@@ -138,3 +138,36 @@ def random_angles(circuit: QuantumCircuit, seed: int = 0) -> np.ndarray:
     """Uniform angles in [0, 2*pi) for a circuit's parameters."""
     gen = np.random.default_rng(seed)
     return gen.uniform(0.0, 2.0 * np.pi, circuit.num_parameters)
+
+
+def _hea_cz_chain() -> "tuple[QuantumCircuit, None]":
+    from repro.ansatz.hea import HardwareEfficientAnsatz
+
+    return HardwareEfficientAnsatz(4, 3).build(), None
+
+
+def _bound_diagonals() -> "tuple[QuantumCircuit, None]":
+    # A bound non-unit RZ and a T gate split the CZ runs; S joins one.
+    circuit = QuantumCircuit(3).h(0).h(1).h(2).rx(0).ry(2)
+    circuit.cz(0, 1).rz(1, value=0.37).cz(1, 2).s(0).cz(0, 1).t(2)
+    circuit.ry(1).cz(1, 2).rz(0)
+    return circuit, None
+
+
+def _hea_initial_state() -> "tuple[QuantumCircuit, object]":
+    from repro.ansatz.hea import HardwareEfficientAnsatz
+    from repro.backend import Statevector
+
+    return HardwareEfficientAnsatz(3, 2).build(), Statevector.random_state(
+        3, seed=4
+    )
+
+
+#: ``(circuit, initial_state)`` builders for the stacked-engine identity
+#: tests: the fused CZ-chain path, fixed/bound diagonals that do and do
+#: not fuse, and a non-default initial state.
+STACKED_ENGINE_CASES = {
+    "hea_cz_chain": _hea_cz_chain,
+    "bound_diagonals": _bound_diagonals,
+    "initial_state": _hea_initial_state,
+}
